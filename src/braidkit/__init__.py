@@ -12,9 +12,8 @@ The main entry points:
   genericity experiments and runtime benchmarks.
 * :mod:`braidkit.cli` -- the ``braidkit`` command-line tool.
 
-Hot permutation kernels run on a compiled backend when the extension built,
-with a pure-Python fallback selected automatically at import
-(:mod:`braidkit.kernel`).
+The permutation-level operations on simple braids live in
+:mod:`braidkit.kernel`, in pure Python.
 """
 
 from .conjugacy import (
@@ -33,7 +32,6 @@ from .conjugacy import (
     initial_factor,
     is_rigid,
     is_uss_minimal,
-    min_rigid_conjugator_with_atom,
     minimal_simple_elements,
     preferred_prefix,
     slide_to_rigid,
@@ -47,7 +45,6 @@ from .core import (
     parse_nf,
     render_nf,
 )
-from .kernel import available_backends, backend_name, use_backend
 from .roots import (
     NonGeneric,
     NoRoot,
@@ -76,8 +73,6 @@ __all__ = [
     "RootOutcome",
     "SimpleElement",
     "SlidingBoundExceeded",
-    "available_backends",
-    "backend_name",
     "braid_from_text",
     "centralizer_basis",
     "cycling",
@@ -89,7 +84,6 @@ __all__ = [
     "initial_factor",
     "is_rigid",
     "is_uss_minimal",
-    "min_rigid_conjugator_with_atom",
     "minimal_simple_elements",
     "normalize",
     "parse_nf",
@@ -97,7 +91,6 @@ __all__ = [
     "quick_no_root",
     "render_nf",
     "slide_to_rigid",
-    "use_backend",
     "verify_root",
     "__version__",
 ]

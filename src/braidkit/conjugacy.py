@@ -215,28 +215,6 @@ def slide_to_rigid(
         r += 1
 
 
-def min_rigid_conjugator_with_atom(y: CanonicalBraid, i: int) -> CanonicalBraid:
-    """Positive conjugator from rigid ``y`` to a rigid braid with atom ``i`` as prefix.
-
-    Conjugates by the atom and slides the result back to rigidity, prepending
-    the atom to the sliding conjugator.  For a rigid ``y`` the sliding always
-    stabilizes within about n(n-1) steps, since conjugating the atom's
-    inverse into a central half-twist square gives a positive witness of
-    that atom length.
-
-    Note that the result need not be the prefix-minimal such conjugator:
-    sliding can jump past a smaller rigid-reaching conjugator (already in
-    B_4, from ``s2^2`` conjugated by ``s1`` it returns the length-five
-    complement of ``s1`` although ``s1 s2`` reaches the rigid ``s1^2``).
-    Minimality questions are therefore decided by
-    :func:`minimal_simple_elements`, which searches exhaustively.
-    """
-    a = SimpleElement.atom(i, y.n).braid()
-    z = a.inverse() * y * a
-    cert = slide_to_rigid(z, max_iterations=max(y.n * (y.n - 1), 1))
-    return a * cert.conjugator
-
-
 def _raw_is_rigid(n: int, power: int, factors: tuple) -> bool:
     # rigid iff the final and initial factors form a left weighted pair
     if not factors:
@@ -298,10 +276,13 @@ def minimal_simple_elements(y: CanonicalBraid) -> frozenset[SimpleElement]:
     prefix of the initial factor or of the complement of the final factor,
     so the search walks exactly those two prefix intervals, pruning at the
     first rigid hit, and keeps the prefix-minimal results.  This search is
-    exhaustive: iterated sliding alone can overshoot the minimal conjugator
-    (see :func:`min_rigid_conjugator_with_atom`), which would make the
-    minimality test unsound.  The cost follows the two interval sizes, which
-    grow with the strand count but not with the canonical length.
+    exhaustive because conjugating by an atom and then running
+    :func:`slide_to_rigid` can overshoot the minimal conjugator, which would
+    make the minimality test unsound: already in B_4, conjugating ``s2^2``
+    by ``s1`` and sliding to rigidity accumulates ``s1 s2 s3 s2 s1``,
+    although ``s1 s2`` already reaches the rigid ``s1^2``.  The cost follows
+    the two interval sizes, which grow with the strand count but not with
+    the canonical length.
     """
     if y.canonical_length <= 1:
         raise ValueError("minimal simple elements need canonical length > 1")

@@ -202,9 +202,10 @@ class CanonicalBraid:
     factors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        assert self.n >= 2
-        assert kernel.is_normal(self.factors, self.n), \
-            f"factors {self.factors} are not a left normal form"
+        if self.n < 2:
+            raise ValueError("a braid group needs at least 2 strands")
+        if not kernel.is_normal(self.factors, self.n):
+            raise ValueError(f"factors {self.factors} are not a left normal form")
 
     @classmethod
     def identity(cls, n: int) -> CanonicalBraid:

@@ -1,112 +1,211 @@
-"""Kernel backend selection.
+"""Permutation kernels for braid normal form arithmetic.
 
-The permutation-level operations exist twice: a compiled Cython extension
-(``braidkit._kernel_c``) and a pure-Python reference (``braidkit._kernel_py``)
-with identical semantics.  The compiled one is preferred when it imported
-successfully; set ``BRAIDKIT_KERNEL=python`` (or ``c``) to force a choice.
+The low-level operations on simple braids (permutation braids), in pure
+Python; everything above this module calls ``kernel.<op>``.
 
-Everything above this module calls through the thin delegators below, so the
-active backend can also be swapped at runtime with :func:`use_backend` --
-that hook exists for the backend-comparison benchmark and for tests, not for
-concurrent use.
+Conventions, used consistently everywhere:
+
+* A simple braid on ``n`` strands is stored as a tuple ``p`` of length ``n``
+  with ``p[i]`` the 0-indexed final position of the strand starting at
+  position ``i``.
+* ``compose(a, b)`` is the braid product "``a`` first, then ``b``", i.e.
+  ``compose(a, b)[i] = b[a[i]]``.
+* The crossing set of a simple braid is its inversion set
+  ``{(i, j) : i < j, p[i] > p[j]}``; a simple ``s`` is a prefix of ``t``
+  exactly when the crossing set of ``s`` is contained in that of ``t``.
+
+The lattice meet is computed through the complement duality: the right
+complement maps the prefix order anti-isomorphically onto the suffix order,
+suffix order corresponds to prefix order of inverse permutations, and the
+prefix-order join of two simples is the permutation whose inversion set is
+the transitive closure of the union of their inversion sets.  Inversion sets
+are held as per-row bitmasks, so everything here is O(n^2) words.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _kernel_py
-
-_BACKENDS = {"python": _kernel_py}
-
-try:
-    from . import _kernel_c  # type: ignore[attr-defined]
-
-    _BACKENDS["c"] = _kernel_c
-except ImportError:
-    _kernel_c = None
-
-_FORCED = os.environ.get("BRAIDKIT_KERNEL", "").strip().lower()
-if _FORCED in ("", "auto"):
-    _impl = _BACKENDS.get("c", _kernel_py)
-elif _FORCED in _BACKENDS:
-    _impl = _BACKENDS[_FORCED]
-else:
-    raise ImportError(
-        f"BRAIDKIT_KERNEL={_FORCED!r} is not available; "
-        f"choices: {sorted(_BACKENDS)} or 'auto'"
-    )
+from typing import Sequence
 
 
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
+def identity(n: int) -> tuple[int, ...]:
+    return tuple(range(n))
 
 
-def backend_name() -> str:
-    return "c" if _impl is _BACKENDS.get("c") else "python"
+def delta(n: int) -> tuple[int, ...]:
+    """The half twist: the order-reversing permutation."""
+    return tuple(range(n - 1, -1, -1))
 
 
-def use_backend(name: str) -> str:
-    """Switch the active backend; returns the previous backend's name."""
-    global _impl
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown kernel backend {name!r}; have {sorted(_BACKENDS)}")
-    previous = backend_name()
-    _impl = _BACKENDS[name]
-    return previous
+def compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Product of simple braids: ``a`` first, then ``b``."""
+    return tuple(b[x] for x in a)
 
 
-def identity(n):
-    return _impl.identity(n)
+def invert(a: Sequence[int]) -> tuple[int, ...]:
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        out[x] = i
+    return tuple(out)
 
 
-def delta(n):
-    return _impl.delta(n)
+def inv_count(a: Sequence[int]) -> int:
+    """Number of inversions = number of strand crossings = Coxeter length."""
+    n = len(a)
+    total = 0
+    for i in range(n):
+        ai = a[i]
+        for j in range(i + 1, n):
+            if ai > a[j]:
+                total += 1
+    return total
 
 
-def compose(a, b):
-    return _impl.compose(a, b)
+def tau(a: Sequence[int]) -> tuple[int, ...]:
+    """Conjugation by the half twist; sends the i-th Artin generator to the (n-i)-th."""
+    n = len(a)
+    return tuple(n - 1 - a[n - 1 - i] for i in range(n))
 
 
-def invert(a):
-    return _impl.invert(a)
+def right_complement(a: Sequence[int]) -> tuple[int, ...]:
+    """The simple ``t`` with ``a * t = delta``."""
+    n = len(a)
+    ainv = invert(a)
+    return tuple(n - 1 - ainv[i] for i in range(n))
 
 
-def inv_count(a):
-    return _impl.inv_count(a)
+def left_complement(a: Sequence[int]) -> tuple[int, ...]:
+    """The simple ``t`` with ``t * a = delta``."""
+    n = len(a)
+    ainv = invert(a)
+    return tuple(ainv[n - 1 - i] for i in range(n))
 
 
-def tau(a):
-    return _impl.tau(a)
+def _inversion_rows(a: Sequence[int]) -> list[int]:
+    """Row bitmasks of the inversion set: bit j of rows[i] is set iff i<j and a[i]>a[j]."""
+    n = len(a)
+    rows = [0] * n
+    for i in range(n):
+        ai = a[i]
+        m = 0
+        for j in range(i + 1, n):
+            if ai > a[j]:
+                m |= 1 << j
+        rows[i] = m
+    return rows
 
 
-def right_complement(a):
-    return _impl.right_complement(a)
+def _close_rows(rows: list[int]) -> list[int]:
+    """Transitive closure under (i,j),(j,k) -> (i,k); rows[i] only holds bits > i."""
+    n = len(rows)
+    for j in range(n - 2, 0, -1):
+        rj = rows[j]
+        if not rj:
+            continue
+        bit = 1 << j
+        for i in range(j):
+            if rows[i] & bit:
+                rows[i] |= rj
+    return rows
 
 
-def left_complement(a):
-    return _impl.left_complement(a)
+def _perm_from_rows(rows: list[int]) -> tuple[int, ...]:
+    """Rebuild the permutation whose inversion set is the (valid) row family."""
+    n = len(rows)
+    out = []
+    for i in range(n):
+        v = rows[i].bit_count()
+        for j in range(i):
+            if not (rows[j] >> i) & 1:
+                v += 1
+        out.append(v)
+    assert sorted(out) == list(range(n)), "closure did not yield an inversion set"
+    return tuple(out)
 
 
-def join(a, b):
-    return _impl.join(a, b)
+def join(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Prefix-order join: transitive closure of the union of the inversion sets."""
+    ra = _inversion_rows(a)
+    rb = _inversion_rows(b)
+    rows = [x | y for x, y in zip(ra, rb)]
+    return _perm_from_rows(_close_rows(rows))
 
 
-def meet(a, b):
-    return _impl.meet(a, b)
+def meet(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Prefix-order meet, via the complement duality with the join."""
+    d = delta(len(a))
+    j = join(compose(d, a), compose(d, b))
+    return compose(d, j)
 
 
-def is_prefix(a, b):
-    return _impl.is_prefix(a, b)
+def is_prefix(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Whether ``a`` is a prefix of ``b``: lengths add along ``a * (a^-1 b) = b``."""
+    return inv_count(a) + inv_count(compose(invert(a), b)) == inv_count(b)
 
 
-def is_left_weighted(s, t):
-    return _impl.is_left_weighted(s, t)
+def is_left_weighted(s: Sequence[int], t: Sequence[int]) -> bool:
+    """Whether the pair ``s, t`` is left weighted: complement(s) and t share no atom.
+
+    An atom divides ``t`` iff ``t`` descends at that position, and it divides
+    ``complement(s)`` iff ``s^-1`` does not descend there, so the test reduces
+    to comparing descent sets.
+    """
+    n = len(s)
+    sinv = invert(s)
+    for i in range(n - 1):
+        if t[i] > t[i + 1] and sinv[i] < sinv[i + 1]:
+            return False
+    return True
 
 
-def normalize_factors(factors, n):
-    return _impl.normalize_factors(factors, n)
+def normalize_factors(
+    factors: Sequence[Sequence[int]], n: int
+) -> tuple[int, list[tuple[int, ...]]]:
+    """Left-greedy normalization of a product of simple braids.
+
+    Sweeps adjacent pairs ``(s, t)``, replacing them with
+    ``(s*m, m^-1*t)`` for ``m = complement(s) /\\ t`` until every pair is
+    left weighted; a single transfer always leaves its own pair left
+    weighted, and the sweep steps back after each change so disturbed
+    neighbours are revisited.  Half twists collect at the front and trivial
+    factors at the back; both are stripped.
+
+    Returns ``(delta_count, core)`` with the input product equal to
+    ``delta^delta_count * core`` and ``core`` in left normal form.
+    """
+    fac = [tuple(f) for f in factors]
+    m = len(fac)
+    i = 0
+    while i < m - 1:
+        s, t = fac[i], fac[i + 1]
+        if is_left_weighted(s, t):
+            i += 1
+            continue
+        move = meet(right_complement(s), t)
+        fac[i] = compose(s, move)
+        fac[i + 1] = compose(invert(move), t)
+        if i > 0:
+            i -= 1
+    idp = identity(n)
+    dp = delta(n)
+    lo = 0
+    hi = m
+    while lo < hi and fac[lo] == dp:
+        lo += 1
+    while lo < hi and fac[hi - 1] == idp:
+        hi -= 1
+    return lo, fac[lo:hi]
 
 
-def is_normal(factors, n):
-    return _impl.is_normal(factors, n)
+def is_normal(factors: Sequence[Sequence[int]], n: int) -> bool:
+    """Whether a factor sequence is a valid left normal form body."""
+    idp = identity(n)
+    dp = delta(n)
+    for f in factors:
+        if len(f) != n or sorted(f) != list(range(n)):
+            return False
+        if tuple(f) == idp or tuple(f) == dp:
+            return False
+    for i in range(len(factors) - 1):
+        if not is_left_weighted(factors[i], factors[i + 1]):
+            return False
+    return True

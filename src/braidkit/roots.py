@@ -71,7 +71,17 @@ def quick_no_root(x: CanonicalBraid, k: int) -> bool:
 
 
 def verify_root(x: CanonicalBraid, k: int, a: CanonicalBraid) -> bool:
+    """Whether ``a ** k == x``.
+
+    Three necessary conditions are checked before powering, so a large ``k``
+    is refuted without building ``a ** k`` when they fail: the exponent sum
+    is a homomorphism, inf is super-additive and sup is sub-additive.
+    """
     _check_degree(k)
+    if k * a.exponent_sum() != x.exponent_sum():
+        return False
+    if k * a.inf > x.inf or x.sup > k * a.sup:
+        return False
     return a ** k == x
 
 

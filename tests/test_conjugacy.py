@@ -20,7 +20,6 @@ from braidkit import (
     initial_factor,
     is_rigid,
     is_uss_minimal,
-    min_rigid_conjugator_with_atom,
     minimal_simple_elements,
     preferred_prefix,
     slide_to_rigid,
@@ -188,19 +187,6 @@ class TestSliding:
 
 
 class TestMinimalSimpleElements:
-    def test_min_rigid_conjugator_fixtures(self):
-        y = B(3, "1 1")
-        assert min_rigid_conjugator_with_atom(y, 1) == B(3, "1")
-        assert min_rigid_conjugator_with_atom(y, 2) == B(3, "2 1")
-
-    def test_atom_initial_factor_shortcut(self):
-        for y in rigid_samples(20, seed=8):
-            iota = initial_factor(y)
-            if iota.length != 1:
-                continue
-            i = iota.canonical_letters()[0]
-            assert min_rigid_conjugator_with_atom(y, i) == iota.braid()
-
     def test_minimal_simple_elements_fixture_b3(self):
         got = minimal_simple_elements(B(3, "1 1"))
         assert got == frozenset({SimpleElement.atom(1, 3),

@@ -127,6 +127,14 @@ class TestNormalForms:
         assert y.power == -1
         assert [f.canonical_letters() for f in y.simple_factors()] == [(1, 2)]
 
+    def test_non_normal_factors_rejected(self):
+        # s1 followed by s2 s1 is not left weighted; a half twist or a
+        # trivial factor never appears in the body; one strand is no group
+        for n, factors in ((3, ((1, 0, 2), (1, 2, 0))), (3, ((2, 1, 0),)),
+                           (3, ((0, 1, 2),)), (1, ())):
+            with pytest.raises(ValueError):
+                CanonicalBraid(n, 0, factors)
+
     def test_braid_relation_fixture(self):
         assert B(3, "1 2 1") == B(3, "2 1 2")
 

@@ -1,19 +1,9 @@
-"""Kernel-level unit tests and compiled/pure backend equivalence."""
+"""Kernel-level unit tests."""
 
 import itertools
 import random
 
-import pytest
-
-import braidkit._kernel_py as pyk
-from braidkit import kernel
-
-try:
-    import braidkit._kernel_c as ck
-except ImportError:
-    ck = None
-
-needs_compiled = pytest.mark.skipif(ck is None, reason="compiled kernel not built")
+import braidkit.kernel as pyk
 
 
 def random_perm(rng, n):
@@ -94,55 +84,3 @@ def test_normalize_factors_outputs_normal_forms():
         assert sum(map(pyk.inv_count, factors)) == \
             power * n * (n - 1) // 2 + sum(map(pyk.inv_count, core))
 
-
-@needs_compiled
-def test_backends_agree_exhaustively_small():
-    for n in (2, 3, 4):
-        perms = [tuple(p) for p in itertools.permutations(range(n))]
-        for a in perms:
-            assert pyk.invert(a) == ck.invert(a)
-            assert pyk.tau(a) == ck.tau(a)
-            assert pyk.inv_count(a) == ck.inv_count(a)
-            assert pyk.right_complement(a) == ck.right_complement(a)
-            assert pyk.left_complement(a) == ck.left_complement(a)
-            for b in perms:
-                assert pyk.compose(a, b) == ck.compose(a, b)
-                assert pyk.meet(a, b) == ck.meet(a, b)
-                assert pyk.join(a, b) == ck.join(a, b)
-                assert pyk.is_prefix(a, b) == ck.is_prefix(a, b)
-                assert pyk.is_left_weighted(a, b) == ck.is_left_weighted(a, b)
-
-
-@needs_compiled
-def test_backends_agree_on_random_normalizations():
-    rng = random.Random(3)
-    for _ in range(400):
-        n = rng.randint(2, 9)
-        factors = [random_perm(rng, n) for _ in range(rng.randint(0, 12))]
-        dp, core_p = pyk.normalize_factors(factors, n)
-        dc, core_c = ck.normalize_factors(factors, n)
-        assert (dp, list(core_p)) == (dc, list(core_c))
-
-
-def test_backend_switching_is_reversible():
-    previous = kernel.backend_name()
-    for name in kernel.available_backends():
-        assert kernel.use_backend(name) in kernel.available_backends()
-        assert kernel.backend_name() == name
-    kernel.use_backend(previous)
-    with pytest.raises(ValueError):
-        kernel.use_backend("fortran")
-
-
-def test_environment_variable_selects_backend():
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ, BRAIDKIT_KERNEL="python")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import braidkit; print(braidkit.backend_name())"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "python"

@@ -12,7 +12,6 @@ from braidkit.lab import (
     SIGNED_ARTIN_WORD,
     SampleSpec,
     SplitMix64,
-    benchmark_backends,
     benchmark_root,
     brute_meet,
     brute_prefix,
@@ -143,13 +142,6 @@ class TestBenchmark:
         if by_l[2].mean_seconds and by_l[4].mean_seconds:
             assert by_l[4].ratio_to_half_l == pytest.approx(
                 by_l[4].mean_seconds / by_l[2].mean_seconds)
-
-    def test_backend_comparison_rows(self):
-        rows = benchmark_backends(n=3, l=3, k=2, count=3, seed=5)
-        backends = {row.backend for row in rows}
-        assert "python" in backends
-        for row in rows:
-            assert row.samples == 3
 
 
 class TestSerialization:

@@ -40,6 +40,9 @@ class TestVerifyRoot:
         assert not verify_root(B(3, "1 1 1 1"), 2, B(3, "2 2"))
         assert verify_root(CanonicalBraid.identity(3), 3,
                            CanonicalBraid.identity(3))
+        # exponent sums agree; refuted by inf (2 * 1 > 0), then by sup (3 > 2 * 1)
+        assert not verify_root(B(3, "1 1 1 1 1 1"), 2, B(3, "1 2 1"))
+        assert not verify_root(B(3, "2 1 -2 1 1 -2"), 2, B(3, "1"))
 
 
 class TestExtractRootFixtures:
