@@ -4,7 +4,10 @@ Batch, line-oriented interface over the library; every subcommand parses its
 word operands as whitespace-separated signed generator indices ("1 2 -1").
 
 Exit codes: 0 success (including a found root), 1 usage or parse error,
-2 a certified NoRoot answer, 3 a non-generic outcome.
+2 a certified NoRoot answer, 3 a non-generic outcome, 4 an internal
+consistency check failed (a computed root that does not verify, a cycling
+orbit that does not close, a minimal conjugator that is not simple); the
+message goes to stderr as an ``error:`` line, never as a traceback.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_ROOT = 2
 EXIT_NON_GENERIC = 3
+EXIT_INTERNAL = 4
 
 NO_ROOT_MESSAGE = "A k-th root does not exist."
 
@@ -298,6 +302,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:  # RootExtractionError and invariant failures
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

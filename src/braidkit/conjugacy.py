@@ -15,7 +15,13 @@ cycling conjugator and an explicit basis of the centralizer all cheaply
 computable, provided the ultra summit set is minimal.  Minimality is decided
 from a single rigid representative by computing its minimal simple
 conjugators and comparing them with the initial factor and the complement of
-the final factor.
+the final factor.  For each atom, the smallest rigid conjugator above it is
+found in two phases: joins close the atom to the smallest conjugator that
+stays in the super summit set (the set of such conjugators is closed under
+joins and meets), then cyclic sliding carries that conjugator to a rigid
+braid without overshooting, because transport along sliding is monotone
+inside the super summit set.  Each phase costs a polynomial in the strand
+count times the canonical length.
 
 Everything here is a pure function over immutable values and safe to call
 concurrently.
@@ -215,81 +221,82 @@ def slide_to_rigid(
         r += 1
 
 
-def _raw_is_rigid(n: int, power: int, factors: tuple) -> bool:
-    # rigid iff the final and initial factors form a left weighted pair
-    if not factors:
-        return True
-    first = kernel.tau(factors[0]) if power & 1 else factors[0]
-    return kernel.is_left_weighted(factors[-1], first)
+def _remainder(fs, s):
+    # y'^-1 (y' v s) for the positive braid y' spelled by the factors fs:
+    # (f g)^-1 ((f g) v s) = g^-1 (g v f^-1 (f v s)), and it stays simple.
+    for f in fs:
+        s = kernel.compose(kernel.invert(f), kernel.join(f, s))
+    return s
 
 
-def _walk_rigid_prefixes(y: CanonicalBraid, top: SimpleElement, skip_top: bool):
-    """Breadth-first walk of the prefix interval [1, top], yielding prefixes
-    whose conjugate of ``y`` is rigid.
+def _conjugate_by_simple(y: CanonicalBraid, t: tuple) -> CanonicalBraid:
+    # t^-1 = delta^-1 lc(t), so t^-1 delta^p F t = delta^(p-1) tau^p(lc(t)) F t
+    head = kernel.left_complement(t)
+    if y.power & 1:
+        head = kernel.tau(head)
+    p, core = kernel.normalize_factors([head, *y.factors, t], y.n)
+    return CanonicalBraid(y.n, y.power - 1 + p, tuple(core))
 
-    Children extend a prefix by one atom, so each node's conjugate is updated
-    incrementally from its parent's (the conjugate depends only on the prefix,
-    not on the path): for an atom ``a``, the conjugate ``a^-1 z a`` of
-    ``z = delta^p F`` renormalizes ``delta^(p-1) tau^(p-1)(lc(a)) F a`` in one
-    sweep, where ``lc(a)`` is the left complement.  Rigid nodes are yielded
-    and not expanded: every extension has them as a proper prefix.  With
-    ``skip_top`` the top itself is not tested, restricting the walk to
-    proper prefixes.
+
+def _minimal_rigid_conjugator(y: CanonicalBraid, y_inv: CanonicalBraid,
+                              a: tuple) -> SimpleElement:
+    """The smallest simple ``c`` with ``a`` a prefix and ``y^c`` rigid.
+
+    ``y`` is rigid and ``y_inv`` is its inverse.  Phase 1 closes ``t = a``
+    to the super summit set: ``inf(y^t) >= inf(y)`` holds exactly when
+    ``t`` has ``y'^-1 (y' v tau^p(t))`` as a prefix, for ``y = delta^p y'``,
+    and the same test on ``y^-1`` enforces ``sup(y^t) <= sup(y)``; both
+    remainders grow with ``t``, so joining them in until nothing changes
+    gives the smallest such ``t`` above ``a``.  Phase 2 slides ``y^t`` to
+    rigidity.  Transport along cyclic sliding is monotone inside the super
+    summit set and leaves every rigid conjugator of ``y`` fixed, so
+    ``t`` times the sliding conjugator is the answer.
     """
-    n = y.n
-    atoms = [SimpleElement.atom(i, n).perm for i in range(1, n)]
-    atom_lcs = [kernel.left_complement(a) for a in atoms]
-    seen = {kernel.identity(n)}
-    frontier = [(kernel.identity(n), y.power, y.factors)]
-    while frontier:
-        next_frontier = []
-        for perm, power, factors in frontier:
-            rest = kernel.compose(kernel.invert(perm), top.perm)
-            for i in range(n - 1):
-                if rest[i] <= rest[i + 1]:
-                    continue
-                grown = kernel.compose(perm, atoms[i])
-                if grown in seen or (skip_top and grown == top.perm):
-                    continue
-                seen.add(grown)
-                head = kernel.tau(atom_lcs[i]) if power & 1 else atom_lcs[i]
-                dp, core = kernel.normalize_factors(
-                    [head, *factors, atoms[i]], n)
-                new_power = power - 1 + dp
-                new_factors = tuple(core)
-                if _raw_is_rigid(n, new_power, new_factors):
-                    yield SimpleElement(n, grown)
-                else:
-                    next_frontier.append((grown, new_power, new_factors))
-        frontier = next_frontier
-
-
-def _has_rigid_proper_prefix(y: CanonicalBraid, top: SimpleElement) -> bool:
-    return any(True for _ in _walk_rigid_prefixes(y, top, skip_top=True))
+    p, q = y.power & 1, y_inv.power & 1
+    t = a
+    while True:
+        grown = kernel.join(t, _remainder(y.factors, kernel.tau(t) if p else t))
+        grown = kernel.join(
+            grown, _remainder(y_inv.factors, kernel.tau(t) if q else t))
+        if grown == t:
+            break
+        t = grown
+    # each sliding adds at least one crossing to the simple conjugator
+    crossings = y.n * (y.n - 1) // 2
+    try:
+        cert = slide_to_rigid(_conjugate_by_simple(y, t),
+                              max_iterations=crossings)
+    except SlidingBoundExceeded as exc:
+        raise RuntimeError(
+            f"super summit conjugate of {y} did not slide to rigidity") from exc
+    c = (SimpleElement(y.n, t).braid() * cert.conjugator).as_simple()
+    if c is None:
+        raise RuntimeError(
+            f"transported conjugator of {y} by atom {a} is not simple")
+    return c
 
 
 def minimal_simple_elements(y: CanonicalBraid) -> frozenset[SimpleElement]:
     """Minimal simple conjugators keeping a rigid ``y`` inside its ultra summit set.
 
     A simple element qualifies when conjugating by it lands on a rigid braid
-    and no proper nontrivial prefix does.  Every qualifying element is a
-    prefix of the initial factor or of the complement of the final factor,
-    so the search walks exactly those two prefix intervals, pruning at the
-    first rigid hit, and keeps the prefix-minimal results.  This search is
-    exhaustive because conjugating by an atom and then running
-    :func:`slide_to_rigid` can overshoot the minimal conjugator, which would
-    make the minimality test unsound: already in B_4, conjugating ``s2^2``
-    by ``s1`` and sliding to rigidity accumulates ``s1 s2 s3 s2 s1``,
-    although ``s1 s2`` already reaches the rigid ``s1^2``.  The cost follows
-    the two interval sizes, which grow with the strand count but not with
-    the canonical length.
+    and no proper nontrivial prefix does.  Rigid conjugators are closed
+    under meets, so every atom ``a`` has a smallest rigid conjugator
+    ``c_y(a)`` above it, and the qualifying elements are the prefix-minimal
+    ones among the ``n - 1`` values ``c_y(a)``.  Sliding alone cannot find
+    ``c_y(a)``: conjugating by ``a`` and then running :func:`slide_to_rigid`
+    can overshoot it, as already in B_4, where conjugating ``s2^2`` by
+    ``s1`` and sliding to rigidity accumulates ``s1 s2 s3 s2 s1``, although
+    ``s1 s2`` already reaches the rigid ``s1^2``.  So ``a`` is first closed
+    under joins to the smallest conjugator that stays in the super summit
+    set, where sliding can no longer overshoot.  The cost is polynomial in
+    the strand count and the canonical length.
     """
     if y.canonical_length <= 1:
         raise ValueError("minimal simple elements need canonical length > 1")
-    found: set[SimpleElement] = set()
-    found.update(_walk_rigid_prefixes(y, initial_factor(y), skip_top=False))
-    found.update(_walk_rigid_prefixes(y, final_factor(y).complement(),
-                                      skip_top=False))
+    y_inv = y.inverse()
+    found = {_minimal_rigid_conjugator(y, y_inv, SimpleElement.atom(i, y.n).perm)
+             for i in range(1, y.n)}
     return frozenset(
         u for u in found
         if not any(v != u and v.is_prefix_of(u) for v in found)
@@ -305,16 +312,21 @@ def is_uss_minimal(y: CanonicalBraid) -> bool:
     ``2 l`` rigid braids arranged in one or two cycling orbits.
 
     Those two elements always keep a rigid braid in its ultra summit set
-    (they implement cycling and twisted decycling) and have trivial meet, so
-    the test reduces to the absence of a rigid-reaching proper prefix of
-    either, which lets the interval walk stop at the first hit.
+    (they implement cycling and twisted decycling), have trivial meet, and
+    every minimal simple element is a prefix of one of them.  So the test
+    asks, for each atom ``a`` below either top, whether the smallest rigid
+    conjugator above ``a`` is that top itself, and stops at the first atom
+    where it is not.
     """
     if y.canonical_length <= 1:
         return False
-    return not (
-        _has_rigid_proper_prefix(y, initial_factor(y))
-        or _has_rigid_proper_prefix(y, final_factor(y).complement())
-    )
+    y_inv = y.inverse()
+    for top in (initial_factor(y), final_factor(y).complement()):
+        for i in range(1, y.n):
+            if top.perm[i - 1] > top.perm[i] and _minimal_rigid_conjugator(
+                    y, y_inv, SimpleElement.atom(i, y.n).perm) != top:
+                return False
+    return True
 
 
 def cycling_orbit(y: CanonicalBraid) -> OrbitData:

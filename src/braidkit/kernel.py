@@ -157,6 +157,14 @@ def is_left_weighted(s: Sequence[int], t: Sequence[int]) -> bool:
     return True
 
 
+# Equal factors returned by normalize_factors are one shared tuple, so
+# braids that stay alive together (sampled inputs, orbits, powers) do not
+# each hold their own copies.  The table holds more than the 7! simples of
+# B_7 and is emptied when full, which bounds it on any strand count.
+_SHARED: dict[tuple[int, ...], tuple[int, ...]] = {}
+_SHARED_BOUND = 1 << 14
+
+
 def normalize_factors(
     factors: Sequence[Sequence[int]], n: int
 ) -> tuple[int, list[tuple[int, ...]]]:
@@ -170,7 +178,9 @@ def normalize_factors(
     factors at the back; both are stripped.
 
     Returns ``(delta_count, core)`` with the input product equal to
-    ``delta^delta_count * core`` and ``core`` in left normal form.
+    ``delta^delta_count * core`` and ``core`` in left normal form.  The
+    factors of ``core`` are taken from a bounded table, so equal factors
+    are shared between results.
     """
     fac = [tuple(f) for f in factors]
     m = len(fac)
@@ -193,7 +203,11 @@ def normalize_factors(
         lo += 1
     while lo < hi and fac[hi - 1] == idp:
         hi -= 1
-    return lo, fac[lo:hi]
+    core = fac[lo:hi]
+    core = list(map(_SHARED.setdefault, core, core))
+    if len(_SHARED) > _SHARED_BOUND:
+        _SHARED.clear()
+    return lo, core
 
 
 def is_normal(factors: Sequence[Sequence[int]], n: int) -> bool:

@@ -73,15 +73,29 @@ def quick_no_root(x: CanonicalBraid, k: int) -> bool:
 def verify_root(x: CanonicalBraid, k: int, a: CanonicalBraid) -> bool:
     """Whether ``a ** k == x``.
 
-    Three necessary conditions are checked before powering, so a large ``k``
-    is refuted without building ``a ** k`` when they fail: the exponent sum
-    is a homomorphism, inf is super-additive and sup is sub-additive.
+    Necessary conditions are checked before powering, so a large ``k`` is
+    refuted without building ``a ** k`` when they fail: the exponent sum is
+    a homomorphism, inf is super-additive and sup is sub-additive.  Then
+    ``a`` is slid to a rigid conjugate ``y``; ``a^k`` is conjugate to the
+    rigid ``y^k``, whose inf and sup are the largest and smallest in its
+    conjugacy class, so ``inf(x) <= k inf(y)`` and ``sup(x) >= k sup(y)``
+    (hence ``l(x) >= k l(y)``) must hold.  After these checks powering is
+    cheap: either ``k <= l(x)``, or ``a`` is conjugate to a half-twist power
+    and so are all its powers.  When ``a`` has no rigid conjugate within
+    the sliding bound, the answer comes from powering alone.
     """
     _check_degree(k)
     if k * a.exponent_sum() != x.exponent_sum():
         return False
     if k * a.inf > x.inf or x.sup > k * a.sup:
         return False
+    try:
+        y = slide_to_rigid(a).target
+    except SlidingBoundExceeded:
+        pass
+    else:
+        if x.inf > k * y.inf or x.sup < k * y.sup:
+            return False
     return a ** k == x
 
 

@@ -102,11 +102,16 @@ class TestConjugacyCommands:
         assert code == 2 and out == "false\n"
 
     def test_verify_refutes_large_degree_without_powering(self, capsys):
-        # exponent sums alone refute it: 10**8 * 1 != 2
-        started = time.perf_counter()
-        code, out = run(capsys, "verify", "-n", "3", "-k", "100000000", "1", "1 1")
-        assert time.perf_counter() - started < 1.0
-        assert code == 2 and out == "false\n"
+        for k, word, root_word in (
+                # exponent sums alone refute it: 10**8 * 1 != 2
+                ("100000000", "1", "1 1"),
+                # the root's rigid conjugate D^-1 | 2 | 2 1 has length 2,
+                # so a 2*10**6-th power has summit length 4*10**6 > 0
+                ("2000000", "", "1 -2")):
+            started = time.perf_counter()
+            code, out = run(capsys, "verify", "-n", "3", "-k", k, word, root_word)
+            assert time.perf_counter() - started < 1.0
+            assert code == 2 and out == "false\n"
 
 
 class TestUsageErrors:
@@ -121,6 +126,29 @@ class TestUsageErrors:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
+
+
+class TestInternalErrors:
+    def test_failed_consistency_checks_exit_4(self, capsys, monkeypatch):
+        import braidkit.cli as cli
+        from braidkit import RootExtractionError
+
+        def fail(exc):
+            def raiser(*args):
+                raise exc
+            return raiser
+
+        monkeypatch.setattr(cli, "extract_root",
+                            fail(RootExtractionError("root failed verification")))
+        monkeypatch.setattr(cli, "cycling_orbit",
+                            fail(RuntimeError("cycling orbit failed to close")))
+        for argv, message in (
+                (("root", "-n", "3", "-k", "2", "1 1 1 1"), "root failed"),
+                (("orbit", "-n", "3", "1 1"), "cycling orbit failed")):
+            assert main(list(argv)) == cli.EXIT_INTERNAL == 4
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
+            assert "Traceback" not in err
 
 
 class TestLabCommands:

@@ -1,10 +1,12 @@
 """Cycling, sliding, rigidity, minimal conjugators, orbits, centralizers."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 
+from braidkit import kernel
 from braidkit import (
     CanonicalBraid,
     CentralizerCase,
@@ -24,7 +26,11 @@ from braidkit import (
     preferred_prefix,
     slide_to_rigid,
 )
-from braidkit.conjugacy import render_certificate, render_orbit
+from braidkit.conjugacy import (
+    _minimal_rigid_conjugator,
+    render_certificate,
+    render_orbit,
+)
 
 from conftest import braids
 
@@ -35,7 +41,6 @@ def B(n, text):
 
 def rigid_samples(count=60, seed=1):
     """Seeded rigid braids obtained by sliding random braids to rigidity."""
-    import random
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -49,6 +54,94 @@ def rigid_samples(count=60, seed=1):
             continue
         if cert.target.canonical_length > 0:
             out.append(cert.target)
+    return out
+
+
+# --- reference: the prefix-interval walk (exponential in n, used for n <= 7) ---
+
+def _raw_is_rigid(power, factors):
+    if not factors:
+        return True
+    first = kernel.tau(factors[0]) if power & 1 else factors[0]
+    return kernel.is_left_weighted(factors[-1], first)
+
+
+def _walk_rigid_prefixes(y, top, skip_top):
+    """Breadth-first walk of the prefix interval [1, top], yielding prefixes
+    whose conjugate of ``y`` is rigid.
+
+    Children extend a prefix by one atom, so each node's conjugate is updated
+    incrementally from its parent's (the conjugate depends only on the prefix,
+    not on the path): for an atom ``a``, the conjugate ``a^-1 z a`` of
+    ``z = delta^p F`` renormalizes ``delta^(p-1) tau^p(lc(a)) F a`` in one
+    sweep, where ``lc(a)`` is the left complement.  Rigid nodes are yielded
+    and not expanded: every extension has them as a proper prefix.  With
+    ``skip_top`` the top itself is not tested, restricting the walk to
+    proper prefixes.
+    """
+    n = y.n
+    atoms = [SimpleElement.atom(i, n).perm for i in range(1, n)]
+    atom_lcs = [kernel.left_complement(a) for a in atoms]
+    seen = {kernel.identity(n)}
+    frontier = [(kernel.identity(n), y.power, y.factors)]
+    while frontier:
+        next_frontier = []
+        for perm, power, factors in frontier:
+            rest = kernel.compose(kernel.invert(perm), top.perm)
+            for i in range(n - 1):
+                if rest[i] <= rest[i + 1]:
+                    continue
+                grown = kernel.compose(perm, atoms[i])
+                if grown in seen or (skip_top and grown == top.perm):
+                    continue
+                seen.add(grown)
+                head = kernel.tau(atom_lcs[i]) if power & 1 else atom_lcs[i]
+                dp, core = kernel.normalize_factors(
+                    [head, *factors, atoms[i]], n)
+                new_power = power - 1 + dp
+                new_factors = tuple(core)
+                if _raw_is_rigid(new_power, new_factors):
+                    yield SimpleElement(n, grown)
+                else:
+                    next_frontier.append((grown, new_power, new_factors))
+        frontier = next_frontier
+
+
+def walk_minimal_simple_elements(y):
+    found = set(_walk_rigid_prefixes(y, initial_factor(y), skip_top=False))
+    found.update(_walk_rigid_prefixes(y, final_factor(y).complement(),
+                                      skip_top=False))
+    return frozenset(
+        u for u in found
+        if not any(v != u and v.is_prefix_of(u) for v in found)
+    )
+
+
+def walk_is_uss_minimal(y):
+    if y.canonical_length <= 1:
+        return False
+    return not any(
+        True
+        for top in (initial_factor(y), final_factor(y).complement())
+        for _ in _walk_rigid_prefixes(y, top, skip_top=True)
+    )
+
+
+def large_rigid_samples(count, seed):
+    """Seeded rigid braids of canonical length > 1 on 6 or 7 strands."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice((6, 7))
+        letters = [rng.choice([1, -1]) * rng.randint(1, n - 1)
+                   for _ in range(rng.randint(4, 24))]
+        try:
+            x = braid_from_text(n, " ".join(map(str, letters)))
+            y = slide_to_rigid(x, max_iterations=20).target
+        except SlidingBoundExceeded:
+            continue
+        if y.canonical_length > 1:
+            out.append(y)
     return out
 
 
@@ -234,6 +327,24 @@ class TestMinimalSimpleElements:
             if count >= 40:
                 break
         assert count >= 40
+
+    def test_minimal_elements_match_walk_on_six_and_seven_strands(self):
+        minimal = 0
+        samples = large_rigid_samples(120, seed=3)
+        for y in samples:
+            got = minimal_simple_elements(y)
+            assert got == walk_minimal_simple_elements(y), y
+            assert is_uss_minimal(y) == walk_is_uss_minimal(y), y
+            minimal += is_uss_minimal(y)
+        assert 10 <= minimal <= len(samples) - 10
+
+    def test_minimal_rigid_conjugator_is_not_the_inf_shortcut(self):
+        # Appending initial factors of y^t while inf drops reaches delta
+        # here; the smallest rigid conjugator above s2 is s2 s1.
+        y = B(3, "1 1")
+        got = _minimal_rigid_conjugator(y, y.inverse(),
+                                        SimpleElement.atom(2, 3).perm)
+        assert got == SimpleElement.from_letters(3, (2, 1))
 
     def test_uss_minimal_fixtures(self):
         assert is_uss_minimal(B(3, "1 1"))

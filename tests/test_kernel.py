@@ -84,3 +84,22 @@ def test_normalize_factors_outputs_normal_forms():
         assert sum(map(pyk.inv_count, factors)) == \
             power * n * (n - 1) // 2 + sum(map(pyk.inv_count, core))
 
+
+
+def test_equal_normal_forms_share_factor_objects():
+    from braidkit import braid_from_text
+    pyk._SHARED.clear()
+    x = braid_from_text(4, "1 2 1 3 3 2")
+    y = braid_from_text(4, "2 1 2 3 3 2")
+    assert x == y and x.factors
+    assert all(f is g for f, g in zip(x.factors, y.factors))
+
+
+def test_shared_factor_table_stays_within_its_bound():
+    rng = random.Random(8)
+    sizes = []
+    for _ in range(pyk._SHARED_BOUND + 4000):
+        pyk.normalize_factors([random_perm(rng, 9)], 9)
+        sizes.append(len(pyk._SHARED))
+    assert max(sizes) <= pyk._SHARED_BOUND
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it was emptied

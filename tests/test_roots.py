@@ -1,5 +1,7 @@
 """Root extraction: fixtures, soundness, planted-root completeness."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -8,6 +10,7 @@ from braidkit import (
     NonGeneric,
     NoRoot,
     Root,
+    SimpleElement,
     SlidingBoundExceeded,
     braid_from_text,
     extract_root,
@@ -15,6 +18,7 @@ from braidkit import (
     slide_to_rigid,
     verify_root,
 )
+from braidkit.lab import POSITIVE_SIMPLE_PRODUCT, SampleSpec, sample
 
 from conftest import braids
 
@@ -202,3 +206,19 @@ class TestRootProperties:
             return
         assert ra.canonical_length == rr.canonical_length
         assert ra.inf == rr.inf
+
+
+def test_planted_square_roots_on_ten_strands_take_polynomial_time():
+    # An exhaustive search of the minimal simple elements took 1 to 9 s per
+    # query on these inputs; the join closure takes tens of milliseconds.
+    cases = []
+    for j in range(3):
+        spec = SampleSpec(n=10, r=1, model=POSITIVE_SIMPLE_PRODUCT,
+                          seed=1000 + 977 * j, count=16)
+        a = CanonicalBraid.from_factors(
+            10, [SimpleElement.from_letters(10, w.letters) for w in sample(spec)])
+        cases.append((a, a * a))
+    started = time.perf_counter()
+    outcomes = [extract_root(x, 2) for _, x in cases]
+    assert time.perf_counter() - started < 2.0
+    assert outcomes == [Root(a) for a, _ in cases]
