@@ -65,12 +65,11 @@ class SimpleElement:
     @classmethod
     def from_letters(cls, n: int, letters: Iterable[int]) -> SimpleElement:
         """Product of positive generators, which must form a permutation braid."""
+        letters = tuple(letters)
         perm = kernel.identity(n)
-        count = 0
         for i in letters:
             perm = kernel.compose(perm, cls.atom(i, n).perm)
-            count += 1
-        if kernel.inv_count(perm) != count:
+        if kernel.inv_count(perm) != len(letters):
             raise ValueError(f"letters {letters!r} do not spell a simple braid")
         return cls(n, perm)
 

@@ -118,7 +118,8 @@ def _perm_from_rows(rows: list[int]) -> tuple[int, ...]:
             if not (rows[j] >> i) & 1:
                 v += 1
         out.append(v)
-    assert sorted(out) == list(range(n)), "closure did not yield an inversion set"
+    if sorted(out) != list(range(n)):
+        raise RuntimeError(f"row family {rows!r} is not an inversion set")
     return tuple(out)
 
 
@@ -168,46 +169,83 @@ _SHARED_BOUND = 1 << 14
 def normalize_factors(
     factors: Sequence[Sequence[int]], n: int
 ) -> tuple[int, list[tuple[int, ...]]]:
-    """Left-greedy normalization of a product of simple braids.
+    """Left normal form of a product of simple braids, built one factor at a time.
 
-    Sweeps adjacent pairs ``(s, t)``, replacing them with
-    ``(s*m, m^-1*t)`` for ``m = complement(s) /\\ t`` until every pair is
-    left weighted; a single transfer always leaves its own pair left
-    weighted, and the sweep steps back after each change so disturbed
-    neighbours are revisited.  Half twists collect at the front and trivial
-    factors at the back; both are stripped.
+    The factors are read left to right onto ``delta^p x_1 ... x_l`` with the
+    body ``x_1 ... x_l`` kept in left normal form:
+
+    * an identity factor is skipped;
+    * a half twist adds one to ``p`` and, since ``x * delta = delta *
+      tau(x)``, applies ``tau`` to the body;
+    * any other factor is appended, and a right-to-left pass replaces each
+      pair ``(s, t)`` by ``(s*m, m^-1*t)`` with ``m = complement(s) /\\ t``,
+      stopping at the first pair that is already left weighted -- the pairs
+      to its left are untouched and were left weighted before.
+
+    By the standard theorem on multiplying a normal form by a simple element
+    (Epstein et al., *Word Processing in Groups*, ch. 9; Elrifai and Morton
+    1994), one such pass gives the normal form: no interior factor becomes
+    trivial, and a half twist can only travel to the front.  So a trivial
+    tail factor is dropped, and once a pass makes a half twist, the rest of
+    the pass would only turn each ``(u, delta)`` into ``(delta, tau(u))``:
+    the half twist leaves the body for ``p`` and everything left of it is
+    twisted by ``tau``.
+
+    Twisting is deferred: the body is held as ``tau^flip`` of the true
+    factors, so twisting everything left of position ``j`` flips ``flip``
+    and twists only the factors right of ``j``, which the pass has just
+    visited.  Incoming factors are twisted into the held frame, and the
+    body is twisted back once at the end.
+
+    Cost: a factor appended to an already normal prefix costs one
+    ``is_left_weighted`` check and no meet, so a normal input of ``m``
+    factors costs ``m - 1`` checks.  In general each input factor costs one
+    pass of at most ``l`` transfers (``l`` the body length), each a meet,
+    O(n^2) word operations, and at most one ``tau``.
 
     Returns ``(delta_count, core)`` with the input product equal to
     ``delta^delta_count * core`` and ``core`` in left normal form.  The
     factors of ``core`` are taken from a bounded table, so equal factors
     are shared between results.
     """
-    fac = [tuple(f) for f in factors]
-    m = len(fac)
-    i = 0
-    while i < m - 1:
-        s, t = fac[i], fac[i + 1]
-        if is_left_weighted(s, t):
-            i += 1
-            continue
-        move = meet(right_complement(s), t)
-        fac[i] = compose(s, move)
-        fac[i + 1] = compose(invert(move), t)
-        if i > 0:
-            i -= 1
     idp = identity(n)
     dp = delta(n)
-    lo = 0
-    hi = m
-    while lo < hi and fac[lo] == dp:
-        lo += 1
-    while lo < hi and fac[hi - 1] == idp:
-        hi -= 1
-    core = fac[lo:hi]
-    core = list(map(_SHARED.setdefault, core, core))
+    power = 0
+    flip = 0  # body holds tau^flip of the true factors
+    body: list[tuple[int, ...]] = []
+    for f in factors:
+        f = tuple(f)
+        if f == idp:
+            continue
+        if f == dp:
+            power += 1
+            flip ^= 1
+            continue
+        body.append(tau(f) if flip else f)
+        i = len(body) - 1
+        while i > 0:
+            s, t = body[i - 1], body[i]
+            if is_left_weighted(s, t):
+                break
+            move = meet(right_complement(s), t)
+            body[i] = compose(invert(move), t)
+            s = compose(s, move)
+            if s == dp:
+                del body[i - 1]
+                body[i - 1:] = map(tau, body[i - 1:])
+                power += 1
+                flip ^= 1
+                break
+            body[i - 1] = s
+            i -= 1
+        if body[-1] == idp:
+            body.pop()
+    if flip:
+        body = list(map(tau, body))
+    core = list(map(_SHARED.setdefault, body, body))
     if len(_SHARED) > _SHARED_BOUND:
         _SHARED.clear()
-    return lo, core
+    return power, core
 
 
 def is_normal(factors: Sequence[Sequence[int]], n: int) -> bool:

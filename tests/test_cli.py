@@ -187,3 +187,13 @@ class TestLabCommands:
         assert lines[0] == "# planted roots; model=positive-simple-product"
         assert lines[1] == (
             "n,l,k,samples,generic,nonGeneric,meanSeconds,ratioToHalfL")
+
+    def test_bench_on_twelve_strands_finishes_in_seconds(self, capsys):
+        # building the 64-factor inputs alone took minutes when normalizing
+        # was quadratic in the letters
+        start = time.perf_counter()
+        code, out = run(capsys, "bench", "--strands", "12", "--lengths", "64",
+                        "--count", "1", "--seed", "80")
+        assert time.perf_counter() - start < 15
+        assert code == 0
+        assert out.splitlines()[2].startswith("12,64,2,1,1,0,")

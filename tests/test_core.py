@@ -1,5 +1,7 @@
 """Braid arithmetic: simple elements, words, normal forms, group laws."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,6 +14,7 @@ from braidkit import (
     parse_nf,
     render_nf,
 )
+from braidkit import lab
 
 from conftest import braid_pairs, braid_triples, braid_words, braids
 
@@ -114,6 +117,8 @@ class TestSimpleElements:
     def test_from_letters_rejects_non_simple(self):
         with pytest.raises(ValueError):
             SimpleElement.from_letters(3, (1, 1))
+        with pytest.raises(ValueError, match=r"letters \(2, 1, 2, 1\) do not"):
+            SimpleElement.from_letters(3, (i for i in (2, 1, 2, 1)))
 
 
 class TestNormalForms:
@@ -134,6 +139,22 @@ class TestNormalForms:
                            (3, ((0, 1, 2),)), (1, ())):
             with pytest.raises(ValueError):
                 CanonicalBraid(n, 0, factors)
+
+    @pytest.mark.parametrize("spec, power, length", [
+        # 552 positive letters; 10 s with the quadratic step-back sweep
+        (lab.SampleSpec(n=12, r=16, model=lab.POSITIVE_SIMPLE_PRODUCT,
+                        seed=80, count=1), 2, 14),
+        # 2,000 signed letters; 829 half twists leave the body for the power
+        (lab.SampleSpec(n=6, r=2000, model=lab.SIGNED_ARTIN_WORD,
+                        seed=80, count=1), -199, 390),
+    ])
+    def test_long_words_normalize_in_bounded_time(self, spec, power, length):
+        word = next(lab.sample(spec))
+        start = time.perf_counter()
+        x = normalize(word)
+        assert time.perf_counter() - start < 1.0
+        assert (x.power, x.canonical_length) == (power, length)
+        assert x.exponent_sum() == sum(1 if e > 0 else -1 for e in word.letters)
 
     def test_braid_relation_fixture(self):
         assert B(3, "1 2 1") == B(3, "2 1 2")

@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import pytest
+
 import braidkit.kernel as pyk
 
 
@@ -78,12 +80,74 @@ def test_normalize_factors_outputs_normal_forms():
             return acc
         lhs = product(factors)
         rhs = product([pyk.delta(n)] * power + list(core))
-        # products agree only as permutations when no cancellation happened;
-        # compare through crossing counts and the permutation image instead
         assert lhs == rhs
         assert sum(map(pyk.inv_count, factors)) == \
             power * n * (n - 1) // 2 + sum(map(pyk.inv_count, core))
 
+
+
+def test_invalid_row_family_raises_under_optimization():
+    # (0, 2) inverted without (0, 1) or (1, 2) is no inversion set; the check
+    # raises rather than asserts, so ``python -O`` keeps it
+    with pytest.raises(RuntimeError, match="not an inversion set"):
+        pyk._perm_from_rows([0b100, 0, 0])
+
+
+def step_back_sweep(factors, n):
+    """Reference normalization: sweep adjacent pairs, stepping back after each change.
+
+    Each non-left-weighted pair ``(s, t)`` becomes ``(s*m, m^-1*t)`` with
+    ``m = complement(s) /\\ t``; the sweep steps back one pair after a
+    change, so half twists bubble to the front and trivial factors to the
+    back, where both are stripped.  Quadratic in the number of factors.
+    """
+    fac = [tuple(f) for f in factors]
+    m = len(fac)
+    i = 0
+    while i < m - 1:
+        s, t = fac[i], fac[i + 1]
+        if pyk.is_left_weighted(s, t):
+            i += 1
+            continue
+        move = pyk.meet(pyk.right_complement(s), t)
+        fac[i] = pyk.compose(s, move)
+        fac[i + 1] = pyk.compose(pyk.invert(move), t)
+        if i > 0:
+            i -= 1
+    lo, hi = 0, m
+    while lo < hi and fac[lo] == pyk.delta(n):
+        lo += 1
+    while lo < hi and fac[hi - 1] == pyk.identity(n):
+        hi -= 1
+    return lo, fac[lo:hi]
+
+
+def random_factor_sequence(rng, n):
+    """Random simples mixed with half twists, identities, atoms and complements."""
+    out = []
+    for _ in range(rng.randint(0, 40)):
+        roll = rng.random()
+        if roll < 0.05:
+            out.append(pyk.delta(n))
+        elif roll < 0.1:
+            out.append(pyk.identity(n))
+        elif roll < 0.2 and out:
+            out.append(pyk.right_complement(out[-1]))
+        elif roll < 0.4:
+            i = rng.randrange(n - 1)
+            out.append(tuple(i + 1 if j == i else i if j == i + 1 else j
+                             for j in range(n)))
+        else:
+            out.append(random_perm(rng, n))
+    return out
+
+
+def test_normalize_factors_matches_the_step_back_sweep():
+    rng = random.Random(5)
+    for _ in range(2000):
+        n = rng.randint(2, 7)
+        factors = random_factor_sequence(rng, n)
+        assert pyk.normalize_factors(factors, n) == step_back_sweep(factors, n)
 
 
 def test_equal_normal_forms_share_factor_objects():
