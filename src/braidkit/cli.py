@@ -5,9 +5,9 @@ word operands as whitespace-separated signed generator indices ("1 2 -1").
 
 Exit codes: 0 success (including a found root), 1 usage or parse error,
 2 a certified NoRoot answer, 3 a non-generic outcome, 4 an internal
-consistency check failed (a computed root that does not verify, a cycling
-orbit that does not close, a minimal conjugator that is not simple); the
-message goes to stderr as an ``error:`` line, never as a traceback.
+consistency check failed (a computed root that does not verify, a minimal
+conjugator that is not simple); the message goes to stderr as an ``error:``
+line, never as a traceback.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .conjugacy import (
     render_orbit,
     slide_to_rigid,
 )
-from .core import BraidWord, normalize, render_nf
+from .core import BraidWord, CanonicalBraid, normalize, render_nf
 from .roots import NonGeneric, NoRoot, Root, extract_root, verify_root
 
 EXIT_OK = 0
@@ -182,7 +182,7 @@ def _cmd_root(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    x = normalize(BraidWord.parse(args.n, args.word))
+    x = _parse_braid(args)
     a = normalize(BraidWord.parse(args.n, args.root_word))
     answer = verify_root(x, args.k, a)
     if args.format == "json":

@@ -70,9 +70,6 @@ class ConjugationCertificate:
     conjugator: CanonicalBraid
     iterations: int
 
-    def holds(self) -> bool:
-        return self.source.conjugate_by(self.conjugator) == self.target
-
 
 @dataclass(frozen=True, slots=True)
 class OrbitData:
@@ -91,7 +88,6 @@ class OrbitData:
     t: int
     pc: CanonicalBraid
     self_conjugate: bool
-    conjugators: tuple[SimpleElement, ...]
 
 
 class CentralizerCase(enum.Enum):
@@ -139,40 +135,49 @@ def preferred_prefix(x: CanonicalBraid) -> SimpleElement:
 
 def is_rigid(x: CanonicalBraid) -> bool:
     """Whether the final and initial factors form a left weighted pair."""
-    return preferred_prefix(x).is_identity()
+    return kernel.is_left_weighted(final_factor(x).perm, initial_factor(x).perm)
+
+
+def _conjugate_by_simple(x: CanonicalBraid, s: tuple) -> CanonicalBraid:
+    """``s^-1 x s`` for the simple ``s``; every conjugation here goes through it.
+
+    With ``u = tau^p(s)`` for ``x = delta^p x_1 ... x_l``, ``s^-1 delta^p =
+    delta^p u^-1``.  When ``u`` is a prefix of ``x_1`` (cycling, sliding),
+    the conjugate is ``delta^p (u^-1 x_1) x_2 ... x_l s``; otherwise ``u^-1
+    = delta^-1 lc(u)``, for the left complement ``lc``, gives ``delta^(p-1)
+    lc(u) x_1 ... x_l s``.  Either is renormalized.  Dividing ``u`` out
+    first spares the meet and the tau twists of a half twist made in front.
+    """
+    u = kernel.tau(s) if x.power & 1 else s
+    if x.factors and kernel.is_prefix(u, x.factors[0]):
+        power = x.power
+        factors = [kernel.compose(kernel.invert(u), x.factors[0]),
+                   *x.factors[1:], s]
+    else:
+        power = x.power - 1
+        factors = [kernel.left_complement(u), *x.factors, s]
+    p, core = kernel.normalize_factors(factors, x.n)
+    return CanonicalBraid(x.n, power + p, tuple(core))
 
 
 def cycling(x: CanonicalBraid) -> CanonicalBraid:
-    """Conjugate by the initial factor: ``delta^p x_2 ... x_l i(x)``, renormalized."""
+    """Conjugate by the initial factor: ``delta^p x_2 ... x_l tau^p(x_1)``."""
     if x.canonical_length == 0:
         return x
-    p, core = kernel.normalize_factors(
-        list(x.factors[1:]) + [initial_factor(x).perm], x.n
-    )
-    return CanonicalBraid(x.n, x.power + p, tuple(core))
+    return _conjugate_by_simple(x, initial_factor(x).perm)
 
 
 def decycling(x: CanonicalBraid) -> CanonicalBraid:
-    """Conjugate by the inverse of the final factor: ``f(x) delta^p x_1 ... x_{l-1}``."""
+    """Conjugate by the inverse of the final factor: ``x_l delta^p x_1 ... x_{l-1}``.
+
+    ``x_l^-1 = d(x_l) delta^-1`` for the right complement ``d(x_l)``, and
+    conjugating by ``delta^-1`` is ``tau``, so this is ``tau`` of the
+    conjugate by ``d(x_l)``.
+    """
     if x.canonical_length == 0:
         return x
-    last = x.factors[-1]
-    if x.power & 1:
-        last = kernel.tau(last)
-    p, core = kernel.normalize_factors([last] + list(x.factors[:-1]), x.n)
-    return CanonicalBraid(x.n, x.power + p, tuple(core))
-
-
-def _slide_once(x: CanonicalBraid, prefix: SimpleElement) -> CanonicalBraid:
-    # x = i(x) delta^p x_2 ... x_l, so conjugating by a prefix of i(x) keeps
-    # everything positive: s(x) = (prefix^-1 i(x)) delta^p x_2 ... x_l prefix.
-    head = kernel.compose(kernel.invert(prefix.perm), initial_factor(x).perm)
-    if x.power & 1:
-        head = kernel.tau(head)
-    p, core = kernel.normalize_factors(
-        [head] + list(x.factors[1:]) + [prefix.perm], x.n
-    )
-    return CanonicalBraid(x.n, x.power + p, tuple(core))
+    return _conjugate_by_simple(
+        x, kernel.right_complement(x.factors[-1])).tau()
 
 
 def cyclic_sliding(x: CanonicalBraid) -> CanonicalBraid:
@@ -180,7 +185,7 @@ def cyclic_sliding(x: CanonicalBraid) -> CanonicalBraid:
     prefix = preferred_prefix(x)
     if prefix.is_identity():
         return x
-    return _slide_once(x, prefix)
+    return _conjugate_by_simple(x, prefix.perm)
 
 
 def sliding_iteration_bound(x: CanonicalBraid) -> int:
@@ -204,21 +209,17 @@ def slide_to_rigid(
     """
     bound = sliding_iteration_bound(x) if max_iterations is None else max_iterations
     y = x
-    alpha_perms: list[tuple[int, ...]] = []
-    r = 0
+    prefixes: list[SimpleElement] = []
     while True:
         prefix = preferred_prefix(y)
-        if prefix.is_identity():
-            p, core = kernel.normalize_factors(alpha_perms, x.n)
-            alpha = CanonicalBraid(x.n, p, tuple(core))
-            return ConjugationCertificate(x, y, alpha, r)
-        if r >= bound:
-            p, core = kernel.normalize_factors(alpha_perms, x.n)
-            alpha = CanonicalBraid(x.n, p, tuple(core))
-            raise SlidingBoundExceeded(y, alpha, r)
-        alpha_perms.append(prefix.perm)
-        y = _slide_once(y, prefix)
-        r += 1
+        if prefix.is_identity() or len(prefixes) >= bound:
+            break
+        prefixes.append(prefix)
+        y = _conjugate_by_simple(y, prefix.perm)
+    alpha = CanonicalBraid.from_factors(x.n, prefixes)
+    if not prefix.is_identity():
+        raise SlidingBoundExceeded(y, alpha, len(prefixes))
+    return ConjugationCertificate(x, y, alpha, len(prefixes))
 
 
 def _remainder(fs, s):
@@ -227,15 +228,6 @@ def _remainder(fs, s):
     for f in fs:
         s = kernel.compose(kernel.invert(f), kernel.join(f, s))
     return s
-
-
-def _conjugate_by_simple(y: CanonicalBraid, t: tuple) -> CanonicalBraid:
-    # t^-1 = delta^-1 lc(t), so t^-1 delta^p F t = delta^(p-1) tau^p(lc(t)) F t
-    head = kernel.left_complement(t)
-    if y.power & 1:
-        head = kernel.tau(head)
-    p, core = kernel.normalize_factors([head, *y.factors, t], y.n)
-    return CanonicalBraid(y.n, y.power - 1 + p, tuple(core))
 
 
 def _minimal_rigid_conjugator(y: CanonicalBraid, y_inv: CanonicalBraid,
@@ -330,30 +322,32 @@ def is_uss_minimal(y: CanonicalBraid) -> bool:
 
 
 def cycling_orbit(y: CanonicalBraid) -> OrbitData:
-    """Follow the cycling orbit of rigid ``y`` until it returns or hits tau(y).
+    """Read the cycling orbit of rigid ``y`` off the rotation of its factors.
 
-    The tau-image is checked at every step, so an orbit that is conjugate to
-    itself by the half twist is reported with ``self_conjugate`` set even
-    when ``y`` equals its own tau-image.
+    Cycling rigid ``y = delta^p x_1 ... x_l`` gives ``delta^p x_2 ... x_l
+    tau^p(x_1)``, again a rigid normal form, since ``tau`` keeps pairs left
+    weighted.  So ``k <= l`` cyclings rotate the factors by ``k``, twisting
+    the wrapped ones by ``tau^p``, and ``t`` is the least shift in ``1..l``
+    that gives ``y`` or ``tau(y)``: the shift by ``l`` gives ``tau^p(y)``,
+    so the orbit always closes.  ``pc = tau^p(x_1 ... x_t)`` is normal as a
+    subword of a normal form.  ``self_conjugate`` is set whenever the shift
+    gives ``tau(y)``, also when ``y = tau(y)``; for ``l = 0`` the orbit is
+    ``t = 1``, ``pc = 1``.  Raises ``ValueError`` when ``y`` is not rigid.
     """
-    tau_y = y.tau()
-    conjugators = [initial_factor(y)]
-    z = cycling(y)
-    t = 1
-    limit = 2 * max(1, y.canonical_length) + 1
-    while z != y and z != tau_y:
-        conjugators.append(initial_factor(z))
-        z = cycling(z)
-        t += 1
-        if t > limit:
-            raise RuntimeError("cycling orbit of a rigid braid failed to close")
-    pc = CanonicalBraid.from_factors(y.n, conjugators)
+    if not is_rigid(y):
+        raise ValueError(f"cycling orbit needs a rigid braid, got {y}")
+    fs = y.factors
+    tau_fs = y.tau().factors
+    wrapped = tau_fs if y.power & 1 else fs
+    for t in range(1, max(1, len(fs)) + 1):
+        rotated = fs[t:] + wrapped[:t]
+        if rotated == fs or rotated == tau_fs:
+            break
     return OrbitData(
         base=y,
         t=t,
-        pc=pc,
-        self_conjugate=(z == tau_y),
-        conjugators=tuple(conjugators),
+        pc=CanonicalBraid(y.n, 0, wrapped[:t]),
+        self_conjugate=(rotated == tau_fs),
     )
 
 

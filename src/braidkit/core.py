@@ -101,11 +101,6 @@ class SimpleElement:
         self._check_same_group(other)
         return kernel.is_prefix(self.perm, other.perm)
 
-    def compose(self, other: SimpleElement) -> SimpleElement:
-        """Permutation product; only a braid product when the lengths add."""
-        self._check_same_group(other)
-        return SimpleElement(self.n, kernel.compose(self.perm, other.perm))
-
     def canonical_letters(self) -> tuple[int, ...]:
         """Deterministic positive word: repeatedly peel the smallest atom prefix."""
         perm = list(self.perm)
@@ -231,9 +226,6 @@ class CanonicalBraid:
     def canonical_length(self) -> int:
         return len(self.factors)
 
-    def factor(self, i: int) -> SimpleElement:
-        return SimpleElement(self.n, self.factors[i])
-
     def simple_factors(self) -> tuple[SimpleElement, ...]:
         return tuple(SimpleElement(self.n, f) for f in self.factors)
 
@@ -288,10 +280,6 @@ class CanonicalBraid:
         """Image under the abelianization homomorphism to the integers."""
         half = self.n * (self.n - 1) // 2
         return self.power * half + sum(kernel.inv_count(f) for f in self.factors)
-
-    def prefix_of(self, other: CanonicalBraid) -> bool:
-        """Whether ``self^-1 * other`` is positive."""
-        return (self.inverse() * other).is_positive()
 
     def as_simple(self) -> SimpleElement | None:
         """This braid as a simple element, or None if it is not one."""

@@ -169,7 +169,8 @@ def brute_meet(s: SimpleElement, t: SimpleElement) -> SimpleElement:
     perms, index, lengths, prefixes_of = _brute_tables(s.n)
     common = prefixes_of[index[s.perm]] & prefixes_of[index[t.perm]]
     best = [u for u in common if all(c in prefixes_of[u] for c in common)]
-    assert len(best) == 1, "prefix lattice lost its unique meet"
+    if len(best) != 1:
+        raise RuntimeError("prefix lattice lost its unique meet")
     return SimpleElement(s.n, perms[best[0]])
 
 

@@ -2,8 +2,9 @@
 
 import json
 import time
+import typing
 
-from braidkit import braid_from_text, parse_nf
+from braidkit import CanonicalBraid, braid_from_text, parse_nf
 from braidkit.cli import main
 
 
@@ -100,6 +101,11 @@ class TestConjugacyCommands:
             == (0, "true\n")
         code, out = run(capsys, "verify", "-n", "3", "-k", "2", "1 1 1 1", "2 2")
         assert code == 2 and out == "false\n"
+
+    def test_parse_braid_annotation_resolves(self):
+        import braidkit.cli as cli
+        hints = typing.get_type_hints(cli._parse_braid)
+        assert hints["return"] is CanonicalBraid
 
     def test_verify_refutes_large_degree_without_powering(self, capsys):
         for k, word, root_word in (

@@ -127,6 +127,54 @@ def walk_is_uss_minimal(y):
     )
 
 
+# --- reference: follow the cycling orbit one cycling at a time ---
+
+def loop_cycling_orbit(y):
+    """``(base, t, pc, self_conjugate)`` of rigid ``y``, by cycling until it
+    returns to ``y`` or reaches ``tau(y)``, with ``pc`` the normalized
+    product of the cycling conjugators."""
+    tau_y = y.tau()
+    conjugators = [initial_factor(y)]
+    z = cycling(y)
+    while z != y and z != tau_y:
+        conjugators.append(initial_factor(z))
+        z = cycling(z)
+        assert len(conjugators) <= 2 * max(1, y.canonical_length) + 1, \
+            "cycling orbit of a rigid braid failed to close"
+    pc = CanonicalBraid.from_factors(y.n, conjugators)
+    return y, len(conjugators), pc, z == tau_y
+
+
+def orbit_samples(count, seed):
+    """Seeded rigid braids on 3 to 7 strands, about a quarter of them tau-fixed.
+
+    Most slide a random signed word to rigidity.  The tau-fixed ones slide a
+    product of joins ``s v tau(s)`` of random simples, with a random power of
+    delta in front; sliding commutes with tau, so the result is tau-fixed.
+    Short words and low strand counts make half-twist powers (``l = 0``)
+    and odd infima common.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 7)
+        if len(out) % 4 == 3:
+            x = CanonicalBraid.delta_power(n, rng.randint(-3, 3))
+            for _ in range(rng.randint(1, 4)):
+                s = list(range(n))
+                rng.shuffle(s)
+                x = x * SimpleElement(n, kernel.join(s, kernel.tau(s))).braid()
+        else:
+            letters = [rng.choice([1, -1]) * rng.randint(1, n - 1)
+                       for _ in range(rng.randint(0, 16))]
+            x = braid_from_text(n, " ".join(map(str, letters)))
+        try:
+            out.append(slide_to_rigid(x, max_iterations=10).target)
+        except SlidingBoundExceeded:
+            continue
+    return out
+
+
 def large_rigid_samples(count, seed):
     """Seeded rigid braids of canonical length > 1 on 6 or 7 strands."""
     rng = random.Random(seed)
@@ -240,7 +288,7 @@ class TestSliding:
         except SlidingBoundExceeded as exc:
             assert exc.conjugator.inverse() * x * exc.conjugator == exc.last
             return
-        assert cert.holds()
+        assert cert.source.conjugate_by(cert.conjugator) == cert.target
         assert is_rigid(cert.target)
         assert cert.iterations <= max(
             0, x.canonical_length * (x.n * (x.n - 1) // 2 - 1))
@@ -274,9 +322,10 @@ class TestSliding:
         witness = B(4, "2")
         assert is_rigid(z.conjugate_by(witness))
         cert = slide_to_rigid(z)
-        assert cert.holds() and is_rigid(cert.target)
+        assert cert.source.conjugate_by(cert.conjugator) == cert.target
+        assert is_rigid(cert.target)
         assert cert.conjugator == B(4, "2 3 2 1")
-        assert not cert.conjugator.prefix_of(witness)
+        assert not (cert.conjugator.inverse() * witness).is_positive()
 
 
 class TestMinimalSimpleElements:
@@ -380,16 +429,32 @@ class TestOrbits:
     def test_orbit_conjugation_laws(self):
         for y in rigid_samples(40, seed=9):
             orbit = cycling_orbit(y)
-            assert 0 < orbit.t <= 2 * y.canonical_length
+            assert 0 < orbit.t <= max(1, y.canonical_length)
             if not orbit.self_conjugate or y.tau() == y:
                 assert orbit.pc * y == y * orbit.pc
             else:
                 assert y.conjugate_by(orbit.pc) == y.tau()
-            # conjugator list composes to pc
-            acc = CanonicalBraid.identity(y.n)
-            for s in orbit.conjugators:
-                acc = acc * s.braid()
-            assert acc == orbit.pc
+
+    def test_orbit_rejects_non_rigid_input(self):
+        with pytest.raises(ValueError, match="rigid"):
+            cycling_orbit(B(3, "2 1 1"))
+
+    def test_orbit_by_rotation_matches_the_cycling_loop(self):
+        cases = {"l = 0": 0, "odd inf": 0, "tau-fixed": 0,
+                 "self-conjugate, not tau-fixed": 0, "0 < t < l": 0}
+        samples = orbit_samples(1000, seed=17)
+        for y in samples:
+            orbit = cycling_orbit(y)
+            assert (orbit.base, orbit.t, orbit.pc, orbit.self_conjugate) == \
+                loop_cycling_orbit(y), y
+            cases["l = 0"] += y.canonical_length == 0
+            cases["odd inf"] += y.power % 2
+            cases["tau-fixed"] += y.canonical_length > 0 and y.tau() == y
+            cases["self-conjugate, not tau-fixed"] += \
+                orbit.self_conjugate and y.tau() != y
+            cases["0 < t < l"] += orbit.t < y.canonical_length
+        assert len(samples) >= 1000
+        assert all(cases.values()), cases
 
 
 class TestCentralizer:

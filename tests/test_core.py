@@ -14,7 +14,7 @@ from braidkit import (
     parse_nf,
     render_nf,
 )
-from braidkit import lab
+from braidkit import kernel, lab
 
 from conftest import braid_pairs, braid_triples, braid_words, braids
 
@@ -62,7 +62,8 @@ class TestSimpleElements:
         for n in (2, 3, 4):
             for p in itertools.permutations(range(n)):
                 s = SimpleElement(n, p)
-                assert s.compose(s.complement()).is_delta()
+                assert kernel.compose(s.perm, s.complement().perm) == \
+                    kernel.delta(n)
                 assert s.complement().complement() == s.tau()
                 assert s.tau().tau() == s
 
