@@ -33,11 +33,11 @@ import enum
 from dataclasses import dataclass
 
 from . import kernel
-from .core import CanonicalBraid, SimpleElement
+from .core import CanonicalBraid, SimpleElement, _trusted
 
 
 class SlidingBoundExceeded(Exception):
-    """Iterated cyclic sliding did not reach a rigid braid within its bound.
+    """Iterated cyclic sliding hit its bound, or a repeat, before a rigid braid.
 
     Carries the last iterate and the conjugator accumulated so far, so a
     caller can hand the state to a fallback solver.
@@ -157,7 +157,7 @@ def _conjugate_by_simple(x: CanonicalBraid, s: tuple) -> CanonicalBraid:
         power = x.power - 1
         factors = [kernel.left_complement(u), *x.factors, s]
     p, core = kernel.normalize_factors(factors, x.n)
-    return CanonicalBraid(x.n, power + p, tuple(core))
+    return _trusted(x.n, power + p, tuple(core))
 
 
 def cycling(x: CanonicalBraid) -> CanonicalBraid:
@@ -204,22 +204,22 @@ def slide_to_rigid(
 ) -> ConjugationCertificate:
     """Iterate cyclic sliding until rigid, accumulating the conjugator.
 
-    Raises :class:`SlidingBoundExceeded` when the bound runs out first, which
-    in root extraction is treated as landing outside the generic case.
+    Raises :class:`SlidingBoundExceeded` when the bound runs out or at the
+    first repeat, which cycles: a rigid braid is its own slide.
     """
     bound = sliding_iteration_bound(x) if max_iterations is None else max_iterations
     y = x
-    prefixes: list[SimpleElement] = []
+    seen: dict[CanonicalBraid, SimpleElement] = {}  # iterate -> its prefix
     while True:
         prefix = preferred_prefix(y)
-        if prefix.is_identity() or len(prefixes) >= bound:
+        if prefix.is_identity() or len(seen) >= bound or y in seen:
             break
-        prefixes.append(prefix)
+        seen[y] = prefix
         y = _conjugate_by_simple(y, prefix.perm)
-    alpha = CanonicalBraid.from_factors(x.n, prefixes)
+    alpha = CanonicalBraid.from_factors(x.n, seen.values())
     if not prefix.is_identity():
-        raise SlidingBoundExceeded(y, alpha, len(prefixes))
-    return ConjugationCertificate(x, y, alpha, len(prefixes))
+        raise SlidingBoundExceeded(y, alpha, len(seen))
+    return ConjugationCertificate(x, y, alpha, len(seen))
 
 
 def _remainder(fs, s):
@@ -346,7 +346,7 @@ def cycling_orbit(y: CanonicalBraid) -> OrbitData:
     return OrbitData(
         base=y,
         t=t,
-        pc=CanonicalBraid(y.n, 0, wrapped[:t]),
+        pc=_trusted(y.n, 0, wrapped[:t]),
         self_conjugate=(rotated == tau_fs),
     )
 

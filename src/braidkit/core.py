@@ -115,11 +115,7 @@ class SimpleElement:
                 return tuple(out)
 
     def braid(self) -> CanonicalBraid:
-        if self.is_identity():
-            return CanonicalBraid(self.n, 0, ())
-        if self.is_delta():
-            return CanonicalBraid(self.n, 1, ())
-        return CanonicalBraid(self.n, 0, (self.perm,))
+        return CanonicalBraid.from_factors(self.n, (self,))
 
     def __str__(self) -> str:
         if self.is_identity():
@@ -164,7 +160,7 @@ class BraidWord:
         return self.text()
 
 
-def _collect(items: Sequence[tuple[int, tuple[int, ...]]], n: int) -> tuple[int, tuple]:
+def _collect(items: Sequence[tuple[int, tuple[int, ...]]], n: int) -> CanonicalBraid:
     """Normal form of a product of terms ``delta^d * u``.
 
     Half-twist powers commute to the front by twisting every factor they
@@ -178,7 +174,7 @@ def _collect(items: Sequence[tuple[int, tuple[int, ...]]], n: int) -> tuple[int,
         acc += d
     out.reverse()
     p, core = kernel.normalize_factors(out, n)
-    return acc + p, tuple(core)
+    return _trusted(n, acc + p, tuple(core))
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,8 +183,8 @@ class CanonicalBraid:
 
     ``factors`` holds the permutations of the ``x_i``; each is neither
     trivial nor the half twist and every adjacent pair is left weighted.
-    Construct braids through :func:`normalize`, the ``SimpleElement`` /
-    ``BraidWord`` conversions, or group operations -- not by hand.
+    The constructor checks that; braids from :func:`normalize`, the
+    conversions and group operations come from the kernel and skip it.
     """
 
     n: int
@@ -211,8 +207,11 @@ class CanonicalBraid:
 
     @classmethod
     def from_factors(cls, n: int, factors: Iterable[SimpleElement]) -> CanonicalBraid:
-        p, core = kernel.normalize_factors([f.perm for f in factors], n)
-        return cls(n, p, tuple(core))
+        perms = [f.perm for f in factors]
+        if n < 2 or any(len(f) != n for f in perms):
+            raise ValueError(f"factors must be simple elements on {n} >= 2 strands")
+        p, core = kernel.normalize_factors(perms, n)
+        return _trusted(n, p, tuple(core))
 
     @property
     def inf(self) -> int:
@@ -245,13 +244,12 @@ class CanonicalBraid:
         if other.power & 1:
             mine = tuple(kernel.tau(f) for f in mine)
         p, core = kernel.normalize_factors(list(mine) + list(other.factors), self.n)
-        return CanonicalBraid(self.n, self.power + other.power + p, tuple(core))
+        return _trusted(self.n, self.power + other.power + p, tuple(core))
 
     def inverse(self) -> CanonicalBraid:
         items = [(-1, kernel.left_complement(f)) for f in reversed(self.factors)]
         items.append((-self.power, kernel.identity(self.n)))
-        p, core = _collect(items, self.n)
-        return CanonicalBraid(self.n, p, core)
+        return _collect(items, self.n)
 
     def __pow__(self, exp: int) -> CanonicalBraid:
         acc = CanonicalBraid.identity(self.n)
@@ -272,9 +270,7 @@ class CanonicalBraid:
 
     def tau(self) -> CanonicalBraid:
         """Conjugate by the half twist; acts factorwise, no renormalization."""
-        return CanonicalBraid(
-            self.n, self.power, tuple(kernel.tau(f) for f in self.factors)
-        )
+        return _trusted(self.n, self.power, tuple(kernel.tau(f) for f in self.factors))
 
     def exponent_sum(self) -> int:
         """Image under the abelianization homomorphism to the integers."""
@@ -298,6 +294,19 @@ class CanonicalBraid:
         return f"CanonicalBraid({self.n}, {render_nf(self)!r})"
 
 
+def _trusted(n: int, power: int, factors: tuple) -> CanonicalBraid:
+    """A braid from kernel-built factors, without the normal-form check.
+
+    Sound for output of ``kernel.normalize_factors``, its ``tau`` twists
+    and runs of a normal form's factors, all normal by construction.
+    """
+    braid = object.__new__(CanonicalBraid)
+    object.__setattr__(braid, "n", n)
+    object.__setattr__(braid, "power", power)
+    object.__setattr__(braid, "factors", factors)
+    return braid
+
+
 def normalize(word: BraidWord) -> CanonicalBraid:
     """Left normal form of a word in the Artin generators.
 
@@ -311,8 +320,7 @@ def normalize(word: BraidWord) -> CanonicalBraid:
             items.append((0, perm))
         else:
             items.append((-1, kernel.left_complement(perm)))
-    p, core = _collect(items, word.n)
-    return CanonicalBraid(word.n, p, core)
+    return _collect(items, word.n)
 
 
 def braid_from_text(n: int, text: str) -> CanonicalBraid:

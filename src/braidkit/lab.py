@@ -241,14 +241,6 @@ class RootRoundtripSummary:
     mean_seconds: float
     max_seconds: float
 
-    def record(self) -> dict:
-        return {
-            "n": self.n, "l": self.l, "k": self.k, "samples": self.samples,
-            "roots": self.roots, "nonGeneric": self.non_generic,
-            "noRoot": self.no_root, "verifyFailures": self.verify_failures,
-            "meanSeconds": self.mean_seconds, "maxSeconds": self.max_seconds,
-        }
-
 
 def run_root_roundtrip(n: int, l: int, k: int, count: int, seed: int,
                        model: str = SIGNED_ARTIN_WORD) -> RootRoundtripSummary:

@@ -81,8 +81,8 @@ def verify_root(x: CanonicalBraid, k: int, a: CanonicalBraid) -> bool:
     conjugacy class, so ``inf(x) <= k inf(y)`` and ``sup(x) >= k sup(y)``
     (hence ``l(x) >= k l(y)``) must hold.  After these checks powering is
     cheap: either ``k <= l(x)``, or ``a`` is conjugate to a half-twist power
-    and so are all its powers.  When ``a`` has no rigid conjugate within
-    the sliding bound, the answer comes from powering alone.
+    and so are all its powers.  When sliding ``a`` stops at its bound or at
+    a repeat short of rigidity, the answer comes from powering alone.
     """
     _check_degree(k)
     if k * a.exponent_sum() != x.exponent_sum():

@@ -2,6 +2,7 @@
 
 import time
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -14,7 +15,7 @@ from braidkit import (
     parse_nf,
     render_nf,
 )
-from braidkit import kernel, lab
+from braidkit import cycling, cyclic_sliding, decycling, kernel, lab
 
 from conftest import braid_pairs, braid_triples, braid_words, braids
 
@@ -141,6 +142,12 @@ class TestNormalForms:
             with pytest.raises(ValueError):
                 CanonicalBraid(n, 0, factors)
 
+    def test_from_factors_rejects_foreign_strand_counts(self):
+        with pytest.raises(ValueError):
+            CanonicalBraid.from_factors(4, [SimpleElement.atom(1, 3)])
+        with pytest.raises(ValueError):
+            CanonicalBraid.from_factors(1, [])
+
     @pytest.mark.parametrize("spec, power, length", [
         # 552 positive letters; 10 s with the quadratic step-back sweep
         (lab.SampleSpec(n=12, r=16, model=lab.POSITIVE_SIMPLE_PRODUCT,
@@ -194,6 +201,30 @@ class TestNormalForms:
         # agrees with conjugation by the half twist
         d = CanonicalBraid.delta_power(x.n, 1)
         assert t == d.inverse() * x * d
+
+
+class TestKernelOutputIsNormal:
+    """Braids built from kernel output skip the constructor's check, so the
+    check is made here: every producing operation returns a normal form that
+    the public constructor accepts and that equals the result."""
+
+    @staticmethod
+    def assert_normal(z):
+        assert kernel.is_normal(z.factors, z.n)
+        assert CanonicalBraid(z.n, z.power, z.factors) == z
+
+    @settings(max_examples=60, deadline=None)
+    @given(braid_pairs(), st.integers(-3, 3))
+    def test_producing_operations_return_normal_forms(self, pair, exp):
+        x, y = pair
+        simples = (*x.simple_factors(), SimpleElement.delta(x.n),
+                   *y.simple_factors(), SimpleElement.identity(x.n))
+        produced = [x, y, x * y, x.inverse(), x ** exp, x.tau(), cycling(x),
+                    decycling(x), cyclic_sliding(x),
+                    CanonicalBraid.from_factors(x.n, simples),
+                    *(s.braid() for s in simples)]
+        for z in produced:
+            self.assert_normal(z)
 
 
 class TestGroupLaws:

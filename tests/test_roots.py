@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from braidkit import (
+    BraidWord,
     CanonicalBraid,
     NonGeneric,
     NoRoot,
@@ -14,10 +15,13 @@ from braidkit import (
     SlidingBoundExceeded,
     braid_from_text,
     extract_root,
+    kernel,
+    normalize,
     quick_no_root,
     slide_to_rigid,
     verify_root,
 )
+from braidkit.conjugacy import sliding_iteration_bound
 from braidkit.lab import POSITIVE_SIMPLE_PRODUCT, SampleSpec, sample
 
 from conftest import braids
@@ -109,6 +113,36 @@ class TestExtractRootFixtures:
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError):
             extract_root(B(3, "1"), 1)
+
+    @pytest.mark.parametrize("word", ["-6 -2 4 5 4 4 6 -2", "-5 3 2 5 -6 3 2 -6"])
+    def test_cycling_slide_trajectory_stops_at_first_repeat(self, word):
+        # fifth powers from the criterion-5 round trip whose slides enter a
+        # cycle at once; running out the bound of 340 slides took over a second
+        x = B(7, word) ** 5
+        started = time.perf_counter()
+        out = extract_root(x, 5)
+        assert time.perf_counter() - started < 0.1
+        assert isinstance(out, NonGeneric)
+        assert out.reason == "not rigid within bound"
+        with pytest.raises(SlidingBoundExceeded) as info:
+            slide_to_rigid(x)
+        assert info.value.iterations < sliding_iteration_bound(x)
+
+    def test_kernel_output_is_not_rechecked(self, monkeypatch):
+        # only braids built from outside factors run the normal-form check;
+        # inside the pipeline that is identity() and delta_power(), whose
+        # bodies are empty
+        sizes = []
+        is_normal = kernel.is_normal
+
+        def counting(factors, n):
+            sizes.append(len(factors))
+            return is_normal(factors, n)
+
+        monkeypatch.setattr(kernel, "is_normal", counting)
+        a = normalize(BraidWord.parse(6, "1 -5 -3 4 1 3 5 1 -2 4"))
+        assert extract_root(a * a, 2) == Root(a)
+        assert sizes and not any(sizes)
 
     def test_non_generic_carries_resume_state(self):
         out = extract_root(CanonicalBraid.delta_power(3, 2), 3)
