@@ -52,8 +52,9 @@ def _parse_braid(args) -> CanonicalBraid:
     return normalize(BraidWord.parse(args.n, args.word))
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def _emit(args, payload: dict, text: str) -> None:
+    """Print ``payload`` as indented JSON under ``--format json``, else ``text``."""
+    print(json.dumps(payload, indent=2) if args.format == "json" else text)
 
 
 def _int_list(text: str) -> list[int]:
@@ -64,11 +65,8 @@ def _int_list(text: str) -> list[int]:
 
 
 def _cmd_nf(args) -> int:
-    braid = _parse_braid(args)
-    if args.format == "json":
-        _emit_json({"braid": render_nf(braid)})
-    else:
-        print(render_nf(braid))
+    text = render_nf(_parse_braid(args))
+    _emit(args, {"braid": text}, text)
     return EXIT_OK
 
 
@@ -80,11 +78,7 @@ def _cmd_invariants(args) -> int:
         "canonicalLength": braid.canonical_length,
         "exponentSum": braid.exponent_sum(),
     }
-    if args.format == "json":
-        _emit_json(values)
-    else:
-        for key, value in values.items():
-            print(f"{key}={value}")
+    _emit(args, values, "\n".join(f"{key}={value}" for key, value in values.items()))
     return EXIT_OK
 
 
@@ -93,31 +87,24 @@ def _cmd_slide(args) -> int:
     try:
         cert = slide_to_rigid(braid)
     except SlidingBoundExceeded as exc:
-        if args.format == "json":
-            _emit_json({"nonGeneric": "not rigid within bound",
-                        "last": render_nf(exc.last),
-                        "conjugator": render_nf(exc.conjugator),
-                        "iterations": exc.iterations})
-        else:
-            print(f"non-generic: not rigid within {exc.iterations} slidings")
-            print(f"last={exc.last}")
-            print(f"conjugator={exc.conjugator}")
+        _emit(args, {"nonGeneric": "not rigid within bound",
+                     "last": render_nf(exc.last),
+                     "conjugator": render_nf(exc.conjugator),
+                     "iterations": exc.iterations},
+              f"non-generic: not rigid within {exc.iterations} slidings\n"
+              f"last={exc.last}\n"
+              f"conjugator={exc.conjugator}")
         return EXIT_NON_GENERIC
-    if args.format == "json":
-        _emit_json({"target": render_nf(cert.target),
-                    "conjugator": render_nf(cert.conjugator),
-                    "iterations": cert.iterations})
-    else:
-        print(render_certificate(cert))
+    _emit(args, {"target": render_nf(cert.target),
+                 "conjugator": render_nf(cert.conjugator),
+                 "iterations": cert.iterations},
+          render_certificate(cert))
     return EXIT_OK
 
 
 def _cmd_rigid(args) -> int:
     answer = is_rigid(_parse_braid(args))
-    if args.format == "json":
-        _emit_json({"rigid": answer})
-    else:
-        print("true" if answer else "false")
+    _emit(args, {"rigid": answer}, "true" if answer else "false")
     return EXIT_OK
 
 
@@ -135,11 +122,9 @@ def _cmd_uss_minimal(args) -> int:
     if cert is None:
         return EXIT_NON_GENERIC
     answer = is_uss_minimal(cert.target)
-    if args.format == "json":
-        _emit_json({"rigidRepresentative": render_nf(cert.target),
-                    "ussMinimal": answer})
-    else:
-        print("true" if answer else "false")
+    _emit(args, {"rigidRepresentative": render_nf(cert.target),
+                 "ussMinimal": answer},
+          "true" if answer else "false")
     return EXIT_OK
 
 
@@ -148,11 +133,9 @@ def _cmd_orbit(args) -> int:
     if cert is None:
         return EXIT_NON_GENERIC
     orbit = cycling_orbit(cert.target)
-    if args.format == "json":
-        _emit_json({"base": render_nf(orbit.base), "t": orbit.t,
-                    "pc": render_nf(orbit.pc), "self": orbit.self_conjugate})
-    else:
-        print(render_orbit(orbit))
+    _emit(args, {"base": render_nf(orbit.base), "t": orbit.t,
+                 "pc": render_nf(orbit.pc), "self": orbit.self_conjugate},
+          render_orbit(orbit))
     return EXIT_OK
 
 
@@ -160,24 +143,18 @@ def _cmd_root(args) -> int:
     braid = _parse_braid(args)
     outcome = extract_root(braid, args.k)
     if isinstance(outcome, Root):
-        if args.format == "json":
-            _emit_json({"outcome": "root", "root": render_nf(outcome.root)})
-        else:
-            print(render_nf(outcome.root))
+        text = render_nf(outcome.root)
+        _emit(args, {"outcome": "root", "root": text}, text)
         return EXIT_OK
     if isinstance(outcome, NoRoot):
-        if args.format == "json":
-            _emit_json({"outcome": "no-root", "message": NO_ROOT_MESSAGE})
-        else:
-            print(NO_ROOT_MESSAGE)
+        _emit(args, {"outcome": "no-root", "message": NO_ROOT_MESSAGE},
+              NO_ROOT_MESSAGE)
         return EXIT_NO_ROOT
     assert isinstance(outcome, NonGeneric)
-    if args.format == "json":
-        _emit_json({"outcome": "non-generic", "reason": outcome.reason,
-                    "reduced": render_nf(outcome.reduced),
-                    "conjugator": render_nf(outcome.conjugator)})
-    else:
-        print(f"non-generic: {outcome.reason}")
+    _emit(args, {"outcome": "non-generic", "reason": outcome.reason,
+                 "reduced": render_nf(outcome.reduced),
+                 "conjugator": render_nf(outcome.conjugator)},
+          f"non-generic: {outcome.reason}")
     return EXIT_NON_GENERIC
 
 
@@ -185,10 +162,7 @@ def _cmd_verify(args) -> int:
     x = _parse_braid(args)
     a = normalize(BraidWord.parse(args.n, args.root_word))
     answer = verify_root(x, args.k, a)
-    if args.format == "json":
-        _emit_json({"verified": answer})
-    else:
-        print("true" if answer else "false")
+    _emit(args, {"verified": answer}, "true" if answer else "false")
     return EXIT_OK if answer else EXIT_NO_ROOT
 
 

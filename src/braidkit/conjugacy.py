@@ -142,22 +142,16 @@ def _conjugate_by_simple(x: CanonicalBraid, s: tuple) -> CanonicalBraid:
     """``s^-1 x s`` for the simple ``s``; every conjugation here goes through it.
 
     With ``u = tau^p(s)`` for ``x = delta^p x_1 ... x_l``, ``s^-1 delta^p =
-    delta^p u^-1``.  When ``u`` is a prefix of ``x_1`` (cycling, sliding),
-    the conjugate is ``delta^p (u^-1 x_1) x_2 ... x_l s``; otherwise ``u^-1
-    = delta^-1 lc(u)``, for the left complement ``lc``, gives ``delta^(p-1)
-    lc(u) x_1 ... x_l s``.  Either is renormalized.  Dividing ``u`` out
-    first spares the meet and the tau twists of a half twist made in front.
+    delta^p u^-1`` and ``u^-1 = delta^-1 lc(u)`` for the left complement
+    ``lc``, so the conjugate is ``delta^(p-1) lc(u) x_1 ... x_l s``,
+    renormalized.  When ``u`` is a prefix of ``x_1`` (cycling, sliding),
+    ``lc(u) x_1`` makes a half twist at the front, which the kernel moves
+    to the power without twisting anything.
     """
     u = kernel.tau(s) if x.power & 1 else s
-    if x.factors and kernel.is_prefix(u, x.factors[0]):
-        power = x.power
-        factors = [kernel.compose(kernel.invert(u), x.factors[0]),
-                   *x.factors[1:], s]
-    else:
-        power = x.power - 1
-        factors = [kernel.left_complement(u), *x.factors, s]
-    p, core = kernel.normalize_factors(factors, x.n)
-    return _trusted(x.n, power + p, tuple(core))
+    p, core = kernel.normalize_factors(
+        [kernel.left_complement(u), *x.factors, s], x.n)
+    return _trusted(x.n, x.power - 1 + p, tuple(core))
 
 
 def cycling(x: CanonicalBraid) -> CanonicalBraid:

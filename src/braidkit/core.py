@@ -252,16 +252,15 @@ class CanonicalBraid:
         return _collect(items, self.n)
 
     def __pow__(self, exp: int) -> CanonicalBraid:
-        acc = CanonicalBraid.identity(self.n)
+        """Square-and-multiply from the top bit; no product by the identity."""
         if exp == 0:
-            return acc
+            return CanonicalBraid.identity(self.n)
         base = self if exp > 0 else self.inverse()
-        e = abs(exp)
-        while e:
-            if e & 1:
+        acc = base
+        for bit in bin(abs(exp))[3:]:
+            acc = acc * acc
+            if bit == "1":
                 acc = acc * base
-            e >>= 1
-            base = base * base
         return acc
 
     def conjugate_by(self, g: CanonicalBraid) -> CanonicalBraid:

@@ -176,7 +176,7 @@ def normalize_factors(
 
     * an identity factor is skipped;
     * a half twist adds one to ``p`` and, since ``x * delta = delta *
-      tau(x)``, applies ``tau`` to the body;
+      tau(x)``, applies ``tau`` to the body, if there is one;
     * any other factor is appended, and a right-to-left pass replaces each
       pair ``(s, t)`` by ``(s*m, m^-1*t)`` with ``m = complement(s) /\\ t``,
       stopping at the first pair that is already left weighted -- the pairs
@@ -195,13 +195,19 @@ def normalize_factors(
     factors, so twisting everything left of position ``j`` flips ``flip``
     and twists only the factors right of ``j``, which the pass has just
     visited.  Incoming factors are twisted into the held frame, and the
-    body is twisted back once at the end.
+    body is twisted back once at the end.  A half twist with nothing left
+    of it -- one that arrives at an empty body, or one the pass makes at
+    position 0 -- twists nothing, so it leaves ``flip`` alone.  Thus
+    ``delta^-1 lc(u) x_1 ... x_l`` with ``u`` a prefix of ``x_1``, for the
+    left complement ``lc``, costs one ``is_left_weighted`` check and one
+    meet more than ``(u^-1 x_1) x_2 ... x_l``, and no ``tau``.
 
     Cost: a factor appended to an already normal prefix costs one
     ``is_left_weighted`` check and no meet, so a normal input of ``m``
     factors costs ``m - 1`` checks.  In general each input factor costs one
     pass of at most ``l`` transfers (``l`` the body length), each a meet,
-    O(n^2) word operations, and at most one ``tau``.
+    O(n^2) word operations, and at most one ``tau``, plus one per factor
+    right of a half twist the pass makes.
 
     Returns ``(delta_count, core)`` with the input product equal to
     ``delta^delta_count * core`` and ``core`` in left normal form.  The
@@ -219,7 +225,8 @@ def normalize_factors(
             continue
         if f == dp:
             power += 1
-            flip ^= 1
+            if body:
+                flip ^= 1
             continue
         body.append(tau(f) if flip else f)
         i = len(body) - 1
@@ -232,9 +239,10 @@ def normalize_factors(
             s = compose(s, move)
             if s == dp:
                 del body[i - 1]
-                body[i - 1:] = map(tau, body[i - 1:])
                 power += 1
-                flip ^= 1
+                if i > 1:
+                    body[i - 1:] = map(tau, body[i - 1:])
+                    flip ^= 1
                 break
             body[i - 1] = s
             i -= 1

@@ -128,7 +128,7 @@ def extract_root(x: CanonicalBraid, k: int) -> RootOutcome:
             return _verified(x, k, root)
         return NonGeneric("power of Delta", y, alpha)
 
-    if y.canonical_length == 1 or not is_uss_minimal(y):
+    if not is_uss_minimal(y):
         return NonGeneric("USS not minimal", y, alpha)
 
     orbit = cycling_orbit(y)

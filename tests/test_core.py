@@ -237,6 +237,26 @@ class TestGroupLaws:
         d = CanonicalBraid.delta_power(3, 1)
         assert d * d == CanonicalBraid.delta_power(3, 2)
 
+    def test_power_makes_one_product_per_bit_below_the_top(self, monkeypatch):
+        # square-and-multiply: floor(log2 k) squarings and popcount(k) - 1
+        # products by the base, none by the identity
+        x = B(4, "1 -2 3 3 -1 2")
+        products = [x]
+        for _ in range(16):
+            products.append(products[-1] * x)
+        calls = []
+        normalize_factors = kernel.normalize_factors
+
+        def counting(factors, n):
+            calls.append(n)
+            return normalize_factors(factors, n)
+
+        monkeypatch.setattr(kernel, "normalize_factors", counting)
+        for k in range(1, 18):
+            calls.clear()
+            assert x ** k == products[k - 1]
+            assert len(calls) == k.bit_length() - 1 + bin(k).count("1") - 1
+
     @settings(max_examples=60, deadline=None)
     @given(braid_triples())
     def test_associativity(self, triple):

@@ -142,12 +142,60 @@ def random_factor_sequence(rng, n):
     return out
 
 
+def conjugation_sequence(rng, n):
+    """``lc(u) x_1 ... x_l s``, the input of conjugating a normal form by ``s``.
+
+    ``s`` is ``u`` or ``tau(u)``, and ``u`` is ``x_1`` (cycling), a prefix
+    of ``x_1`` (sliding) or any simple.
+    """
+    _, body = pyk.normalize_factors(random_factor_sequence(rng, n), n)
+    roll = rng.random()
+    if body and roll < 0.3:
+        u = body[0]
+    elif body and roll < 0.6:
+        u = pyk.meet(random_perm(rng, n), body[0])
+    else:
+        u = random_perm(rng, n)
+    s = pyk.tau(u) if rng.random() < 0.5 else u
+    return [pyk.left_complement(u), *body, s]
+
+
 def test_normalize_factors_matches_the_step_back_sweep():
     rng = random.Random(5)
     for _ in range(2000):
         n = rng.randint(2, 7)
         factors = random_factor_sequence(rng, n)
         assert pyk.normalize_factors(factors, n) == step_back_sweep(factors, n)
+    rng = random.Random(6)
+    for _ in range(600):
+        n = rng.randint(2, 7)
+        factors = conjugation_sequence(rng, n)
+        assert pyk.normalize_factors(factors, n) == step_back_sweep(factors, n)
+
+
+def test_half_twists_at_the_front_twist_nothing(monkeypatch):
+    # delta or lc(x_1) x_1 in front of a normal body leaves for the power
+    # without flipping the deferred twist, so no factor is ever twisted
+    rng = random.Random(7)
+    bodies = []
+    while len(bodies) < 60:
+        n = rng.randint(3, 7)
+        _, fs = pyk.normalize_factors([random_perm(rng, n) for _ in range(8)], n)
+        if len(fs) >= 3:
+            bodies.append((n, fs))
+    calls = []
+    tau = pyk.tau
+
+    def counting(a):
+        calls.append(a)
+        return tau(a)
+
+    monkeypatch.setattr(pyk, "tau", counting)
+    for n, fs in bodies:
+        assert pyk.normalize_factors([pyk.delta(n), *fs], n) == (1, fs)
+        assert pyk.normalize_factors(
+            [pyk.left_complement(fs[0]), *fs], n) == (1, fs[1:])
+    assert calls == []
 
 
 def test_equal_normal_forms_share_factor_objects():

@@ -144,6 +144,13 @@ class TestExtractRootFixtures:
         assert extract_root(a * a, 2) == Root(a)
         assert sizes and not any(sizes)
 
+    def test_rigid_length_one_is_uss_not_minimal(self):
+        # D^2 s1 is rigid of canonical length one and its exponent sum 7
+        # passes the abelianization test, so the USS test itself says no
+        out = extract_root(CanonicalBraid.delta_power(3, 2) * B(3, "1"), 7)
+        assert isinstance(out, NonGeneric)
+        assert out.reason == "USS not minimal"
+
     def test_non_generic_carries_resume_state(self):
         out = extract_root(CanonicalBraid.delta_power(3, 2), 3)
         assert isinstance(out, NonGeneric)
