@@ -82,18 +82,28 @@ def _cmd_invariants(args) -> int:
     return EXIT_OK
 
 
-def _cmd_slide(args) -> int:
-    braid = _parse_braid(args)
+def _slide(args, detail: bool):
+    """Slide the braid to a rigid conjugate, or report the failure and return None.
+
+    The text report is three lines with ``detail`` and one without.
+    """
     try:
-        cert = slide_to_rigid(braid)
+        return slide_to_rigid(_parse_braid(args))
     except SlidingBoundExceeded as exc:
         _emit(args, {"nonGeneric": "not rigid within bound",
                      "last": render_nf(exc.last),
                      "conjugator": render_nf(exc.conjugator),
                      "iterations": exc.iterations},
-              f"non-generic: not rigid within {exc.iterations} slidings\n"
-              f"last={exc.last}\n"
-              f"conjugator={exc.conjugator}")
+              (f"non-generic: not rigid within {exc.iterations} slidings\n"
+               f"last={exc.last}\n"
+               f"conjugator={exc.conjugator}") if detail else
+              "non-generic: no rigid conjugate within the sliding bound")
+        return None
+
+
+def _cmd_slide(args) -> int:
+    cert = _slide(args, detail=True)
+    if cert is None:
         return EXIT_NON_GENERIC
     _emit(args, {"target": render_nf(cert.target),
                  "conjugator": render_nf(cert.conjugator),
@@ -108,17 +118,8 @@ def _cmd_rigid(args) -> int:
     return EXIT_OK
 
 
-def _with_rigid_representative(args):
-    braid = _parse_braid(args)
-    try:
-        return slide_to_rigid(braid)
-    except SlidingBoundExceeded:
-        print("non-generic: no rigid conjugate within the sliding bound")
-        return None
-
-
 def _cmd_uss_minimal(args) -> int:
-    cert = _with_rigid_representative(args)
+    cert = _slide(args, detail=False)
     if cert is None:
         return EXIT_NON_GENERIC
     answer = is_uss_minimal(cert.target)
@@ -129,7 +130,7 @@ def _cmd_uss_minimal(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    cert = _with_rigid_representative(args)
+    cert = _slide(args, detail=False)
     if cert is None:
         return EXIT_NON_GENERIC
     orbit = cycling_orbit(cert.target)
@@ -174,15 +175,18 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _cmd_experiment(args) -> int:
-    specs = [lab.SampleSpec(n=args.n, r=r, model=args.model, seed=args.seed,
-                            count=args.count) for r in _int_list(args.lengths)]
-    rows = lab.run_genericity_experiment(specs)
-    note = f"{lab.SAMPLING_NOTE}; model={args.model}"
+def _print_rows(args, rows, fields, note: str) -> None:
     if args.format == "json":
         print(lab.rows_to_json(rows, note=note))
     else:
-        print(lab.rows_to_csv(rows, lab.EXPERIMENT_FIELDS, note=note), end="")
+        print(lab.rows_to_csv(rows, fields, note=note), end="")
+
+
+def _cmd_experiment(args) -> int:
+    specs = [lab.SampleSpec(n=args.n, r=r, model=args.model, seed=args.seed,
+                            count=args.count) for r in _int_list(args.lengths)]
+    _print_rows(args, lab.run_genericity_experiment(specs), lab.EXPERIMENT_FIELDS,
+                f"{lab.SAMPLING_NOTE}; model={args.model}")
     return EXIT_OK
 
 
@@ -190,11 +194,7 @@ def _cmd_bench(args) -> int:
     rows = lab.benchmark_root(
         ns=_int_list(args.strands), ls=_int_list(args.lengths),
         k=args.k, count=args.count, seed=args.seed, model=args.model)
-    note = f"planted roots; model={args.model}"
-    if args.format == "json":
-        print(lab.rows_to_json(rows, note=note))
-    else:
-        print(lab.rows_to_csv(rows, lab.BENCH_FIELDS, note=note), end="")
+    _print_rows(args, rows, lab.BENCH_FIELDS, f"planted roots; model={args.model}")
     return EXIT_OK
 
 
@@ -270,10 +270,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:  # RootExtractionError and invariant failures

@@ -14,12 +14,13 @@ Conventions, used consistently everywhere:
   ``{(i, j) : i < j, p[i] > p[j]}``; a simple ``s`` is a prefix of ``t``
   exactly when the crossing set of ``s`` is contained in that of ``t``.
 
-The lattice meet is computed through the complement duality: the right
-complement maps the prefix order anti-isomorphically onto the suffix order,
-suffix order corresponds to prefix order of inverse permutations, and the
-prefix-order join of two simples is the permutation whose inversion set is
-the transitive closure of the union of their inversion sets.  Inversion sets
-are held as per-row bitmasks, so everything here is O(n^2) words.
+The prefix-order join of two simples is the permutation whose inversion set
+is the transitive closure of the union of their inversion sets.  The meet
+follows by reversal: reversing a tuple, which is composing with the half
+twist on the left, takes its inversion set to the mirror image of the
+complement, so it reverses the prefix order, and the meet of ``a`` and ``b``
+is the reversal of the join of their reversals.  Inversion sets are held as
+per-row bitmasks, so everything here is O(n^2) words.
 """
 
 from __future__ import annotations
@@ -75,9 +76,7 @@ def right_complement(a: Sequence[int]) -> tuple[int, ...]:
 
 def left_complement(a: Sequence[int]) -> tuple[int, ...]:
     """The simple ``t`` with ``t * a = delta``."""
-    n = len(a)
-    ainv = invert(a)
-    return tuple(ainv[n - 1 - i] for i in range(n))
+    return invert(a)[::-1]
 
 
 def _inversion_rows(a: Sequence[int]) -> list[int]:
@@ -132,10 +131,8 @@ def join(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 
 def meet(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Prefix-order meet, via the complement duality with the join."""
-    d = delta(len(a))
-    j = join(compose(d, a), compose(d, b))
-    return compose(d, j)
+    """Prefix-order meet: the reversal of the join of the reversals."""
+    return join(a[::-1], b[::-1])[::-1]
 
 
 def is_prefix(a: Sequence[int], b: Sequence[int]) -> bool:

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .conjugacy import SlidingBoundExceeded, is_uss_minimal, slide_to_rigid
 from .core import BraidWord, SimpleElement, normalize
-from .roots import NonGeneric, Root, extract_root, verify_root
+from .roots import NonGeneric, Root, RootExtractionError, extract_root, verify_root
 
 _MASK64 = (1 << 64) - 1
 
@@ -238,7 +238,7 @@ class RootRoundtripSummary:
     non_generic: int
     no_root: int
     verify_failures: int
-    mean_seconds: float
+    mean_seconds: float | None
     max_seconds: float
 
 
@@ -248,10 +248,13 @@ def run_root_roundtrip(n: int, l: int, k: int, count: int, seed: int,
 
     Planted roots always exist, so any NoRoot outcome or verification failure
     is counted as a defect; callers treat nonzero counts as test failures.
+    ``mean_seconds`` is the mean extract_root time over verified roots, or
+    ``None`` when there are none; ``max_seconds`` is over every sample.
     """
     spec = SampleSpec(n=n, r=l, model=model, seed=seed, count=count)
     roots = non_generic = no_root = failures = 0
     times = []
+    root_seconds = 0.0
     for word in sample(spec):
         a = normalize(word)
         x = a ** k
@@ -261,6 +264,7 @@ def run_root_roundtrip(n: int, l: int, k: int, count: int, seed: int,
         if isinstance(outcome, Root):
             if verify_root(x, k, outcome.root):
                 roots += 1
+                root_seconds += times[-1]
             else:
                 failures += 1
         elif isinstance(outcome, NonGeneric):
@@ -270,7 +274,8 @@ def run_root_roundtrip(n: int, l: int, k: int, count: int, seed: int,
     return RootRoundtripSummary(
         n=n, l=l, k=k, samples=count, roots=roots, non_generic=non_generic,
         no_root=no_root, verify_failures=failures,
-        mean_seconds=sum(times) / len(times), max_seconds=max(times),
+        mean_seconds=root_seconds / roots if roots else None,
+        max_seconds=max(times),
     )
 
 
@@ -299,50 +304,34 @@ BENCH_FIELDS = ("n", "l", "k", "samples", "generic", "nonGeneric",
                 "meanSeconds", "ratioToHalfL")
 
 
-def _bench_cell(n: int, l: int, k: int, count: int, seed: int,
-                model: str) -> tuple[int, int, float | None]:
-    spec = SampleSpec(n=n, r=l, model=model, seed=seed, count=count)
-    generic = non_generic = 0
-    total = 0.0
-    for word in sample(spec):
-        x = normalize(word) ** k
-        started = time.perf_counter()
-        outcome = extract_root(x, k)
-        elapsed = time.perf_counter() - started
-        if isinstance(outcome, NonGeneric):
-            non_generic += 1
-        else:
-            generic += 1
-            total += elapsed
-    mean = total / generic if generic else None
-    return generic, non_generic, mean
-
-
 def benchmark_root(ns: Sequence[int], ls: Sequence[int], k: int, count: int,
                    seed: int, model: str = POSITIVE_SIMPLE_PRODUCT) -> list[BenchCell]:
-    """Mean extract_root wall time per (n, l) cell over planted generic instances.
+    """Mean extract_root wall time per (n, l) cell over planted roots.
 
-    Non-generic instances are excluded from the mean but counted.  Each cell
-    also carries the runtime ratio against the cell at half its l, the shape
+    Each cell is a :func:`run_root_roundtrip`; non-generic instances are
+    excluded from the mean but counted, and a NoRoot or a root that fails
+    verification raises :class:`RootExtractionError`.  Each cell also
+    carries the runtime ratio against the cell at half its l, the shape
     probe for the expected roughly quadratic growth in l at fixed n.
     """
-    means: dict[tuple[int, int], float | None] = {}
-    raw = {}
-    for n in ns:
-        for l in ls:
-            generic, non_generic, mean = _bench_cell(n, l, k, count, seed, model)
-            raw[(n, l)] = (generic, non_generic)
-            means[(n, l)] = mean
+    summaries = {}
+    for n, l in dict.fromkeys(itertools.product(ns, ls)):  # a repeated cell runs once
+        summary = run_root_roundtrip(n, l, k, count, seed, model)
+        if summary.no_root or summary.verify_failures:
+            raise RootExtractionError(
+                f"planted roots at n={n}, l={l}, k={k}: {summary.no_root} NoRoot, "
+                f"{summary.verify_failures} failed verification")
+        summaries[(n, l)] = summary
+    means = {cell: summary.mean_seconds for cell, summary in summaries.items()}
     cells = []
-    for n in ns:
-        for l in ls:
-            generic, non_generic = raw[(n, l)]
-            mean = means[(n, l)]
-            half = means.get((n, l // 2)) if l % 2 == 0 else None
-            ratio = mean / half if (mean is not None and half) else None
-            cells.append(BenchCell(n=n, l=l, k=k, samples=count, generic=generic,
-                                   non_generic=non_generic, mean_seconds=mean,
-                                   ratio_to_half_l=ratio))
+    for n, l in itertools.product(ns, ls):
+        summary = summaries[(n, l)]
+        mean = summary.mean_seconds
+        half = means.get((n, l // 2)) if l % 2 == 0 else None
+        ratio = mean / half if (mean is not None and half) else None
+        cells.append(BenchCell(n=n, l=l, k=k, samples=count, generic=summary.roots,
+                               non_generic=summary.non_generic, mean_seconds=mean,
+                               ratio_to_half_l=ratio))
     return cells
 
 

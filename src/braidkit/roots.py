@@ -79,10 +79,14 @@ def verify_root(x: CanonicalBraid, k: int, a: CanonicalBraid) -> bool:
     ``a`` is slid to a rigid conjugate ``y``; ``a^k`` is conjugate to the
     rigid ``y^k``, whose inf and sup are the largest and smallest in its
     conjugacy class, so ``inf(x) <= k inf(y)`` and ``sup(x) >= k sup(y)``
-    (hence ``l(x) >= k l(y)``) must hold.  After these checks powering is
-    cheap: either ``k <= l(x)``, or ``a`` is conjugate to a half-twist power
-    and so are all its powers.  When sliding ``a`` stops at its bound or at
-    a repeat short of rigidity, the answer comes from powering alone.
+    (hence ``l(x) >= k l(y)``) must hold.  When ``a`` has a rigid conjugate,
+    powering after these checks is cheap: either ``k <= l(x)``, or ``a`` is
+    conjugate to a half-twist power and so are all its powers.  When sliding
+    ``a`` stops at its bound or at a repeat short of rigidity, the summit
+    check is skipped and the answer comes from powering alone, which is not
+    cheap: on 4 strands ``verify_root(identity, k, s1 s3^-1)`` passes every
+    check and builds ``a ** k`` of canonical length ``2k``, taking seconds at
+    ``k = 1000`` (ROADMAP item 6).
     """
     _check_degree(k)
     if k * a.exponent_sum() != x.exponent_sum():

@@ -4,6 +4,8 @@ import json
 import time
 import typing
 
+import pytest
+
 from braidkit import CanonicalBraid, braid_from_text, parse_nf
 from braidkit.cli import main
 
@@ -118,6 +120,34 @@ class TestConjugacyCommands:
             code, out = run(capsys, "verify", "-n", "3", "-k", k, word, root_word)
             assert time.perf_counter() - started < 1.0
             assert code == 2 and out == "false\n"
+
+
+# subcommand, options, operands after the word, and the exit codes on a
+# rigid word and on a word with no rigid conjugate within the sliding bound
+BRAID_COMMANDS = (
+    ("nf", (), (), 0, 0),
+    ("invariants", (), (), 0, 0),
+    ("slide", (), (), 0, 3),
+    ("rigid", (), (), 0, 0),
+    ("uss-minimal", (), (), 0, 3),
+    ("orbit", (), (), 0, 3),
+    ("root", ("-k", "2"), (), 0, 3),
+    ("verify", ("-k", "2"), ("1 1",), 0, 2),
+)
+
+
+@pytest.mark.parametrize("rigid", (True, False), ids=("rigid", "non-rigid"))
+@pytest.mark.parametrize("command, options, operands, rigid_code, non_rigid_code",
+                         BRAID_COMMANDS, ids=[c[0] for c in BRAID_COMMANDS])
+def test_braid_commands_print_json(capsys, rigid, command, options, operands,
+                                   rigid_code, non_rigid_code):
+    n, word = ("3", "1 1 1 1") if rigid else ("4", "-3 2 1 -3 1 -1")
+    code, out = run(capsys, command, "--format", "json", "-n", n, *options,
+                    word, *operands)
+    assert code == (rigid_code if rigid else non_rigid_code)
+    payload = json.loads(out)
+    if code == 3 and command != "root":
+        assert list(payload) == ["nonGeneric", "last", "conjugator", "iterations"]
 
 
 class TestUsageErrors:

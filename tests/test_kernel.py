@@ -17,6 +17,9 @@ def random_perm(rng, n):
 def test_delta_is_reversal():
     assert pyk.delta(4) == (3, 2, 1, 0)
     assert pyk.identity(3) == (0, 1, 2)
+    # the identity meet and left_complement rely on
+    assert all(pyk.compose(pyk.delta(n), a) == a[::-1]
+               for n in range(1, 6) for a in itertools.permutations(range(n)))
 
 
 def test_complement_laws():

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from braidkit import SimpleElement, kernel, lab, normalize
+from braidkit import NoRoot, RootExtractionError, SimpleElement, kernel, lab, normalize
+from braidkit.cli import main
 from braidkit.lab import (
     BENCH_FIELDS,
     EXPERIMENT_FIELDS,
@@ -158,6 +159,13 @@ class TestBenchmark:
         if by_l[2].mean_seconds and by_l[4].mean_seconds:
             assert by_l[4].ratio_to_half_l == pytest.approx(
                 by_l[4].mean_seconds / by_l[2].mean_seconds)
+
+    def test_no_root_on_a_planted_power_is_an_internal_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(lab, "extract_root", lambda x, k: NoRoot())
+        with pytest.raises(RootExtractionError):
+            benchmark_root(ns=[3], ls=[2], k=2, count=2, seed=1)
+        assert main(["bench", "--strands", "3", "--lengths", "2", "--count", "2"]) == 4
+        assert capsys.readouterr().err.startswith("error: internal: ")
 
 
 class TestSerialization:
