@@ -193,15 +193,14 @@ def sliding_iteration_bound(x: CanonicalBraid) -> int:
     return x.canonical_length * (x.n * (x.n - 1) // 2 - 1)
 
 
-def slide_to_rigid(
-    x: CanonicalBraid, max_iterations: int | None = None
-) -> ConjugationCertificate:
+def slide_to_rigid(x: CanonicalBraid) -> ConjugationCertificate:
     """Iterate cyclic sliding until rigid, accumulating the conjugator.
 
-    Raises :class:`SlidingBoundExceeded` when the bound runs out or at the
-    first repeat, which cycles: a rigid braid is its own slide.
+    Raises :class:`SlidingBoundExceeded` after
+    :func:`sliding_iteration_bound` slidings or at the first repeat, which
+    cycles: a rigid braid is its own slide.
     """
-    bound = sliding_iteration_bound(x) if max_iterations is None else max_iterations
+    bound = sliding_iteration_bound(x)
     y = x
     seen: dict[CanonicalBraid, SimpleElement] = {}  # iterate -> its prefix
     while True:
@@ -233,10 +232,15 @@ def _minimal_rigid_conjugator(y: CanonicalBraid, y_inv: CanonicalBraid,
     ``t`` has ``y'^-1 (y' v tau^p(t))`` as a prefix, for ``y = delta^p y'``,
     and the same test on ``y^-1`` enforces ``sup(y^t) <= sup(y)``; both
     remainders grow with ``t``, so joining them in until nothing changes
-    gives the smallest such ``t`` above ``a``.  Phase 2 slides ``y^t`` to
-    rigidity.  Transport along cyclic sliding is monotone inside the super
-    summit set and leaves every rigid conjugator of ``y`` fixed, so
-    ``t`` times the sliding conjugator is the answer.
+    gives the smallest such ``t`` above ``a``.  Phase 2 slides ``z = y^t``
+    to rigidity, growing ``t`` by each preferred prefix ``s``.  Transport
+    along cyclic sliding is monotone inside the super summit set and leaves
+    every rigid conjugator of ``y`` fixed, so ``t`` stays a prefix of the
+    answer and ends on it.  In particular ``t s`` stays simple, that is,
+    the crossing counts of ``t`` and ``s`` add; a product where they do not
+    raises ``RuntimeError``, an internal fault.  That check also bounds
+    the loop: every sliding adds at least one crossing to ``t``, and a
+    simple element has at most ``n(n-1)/2``.
     """
     p, q = y.power & 1, y_inv.power & 1
     t = a
@@ -247,19 +251,17 @@ def _minimal_rigid_conjugator(y: CanonicalBraid, y_inv: CanonicalBraid,
         if grown == t:
             break
         t = grown
-    # each sliding adds at least one crossing to the simple conjugator
-    crossings = y.n * (y.n - 1) // 2
-    try:
-        cert = slide_to_rigid(_conjugate_by_simple(y, t),
-                              max_iterations=crossings)
-    except SlidingBoundExceeded as exc:
-        raise RuntimeError(
-            f"super summit conjugate of {y} did not slide to rigidity") from exc
-    c = (SimpleElement(y.n, t).braid() * cert.conjugator).as_simple()
-    if c is None:
-        raise RuntimeError(
-            f"transported conjugator of {y} by atom {a} is not simple")
-    return c
+    z = _conjugate_by_simple(y, t)
+    while True:
+        s = preferred_prefix(z)
+        if s.is_identity():
+            return SimpleElement(y.n, t)
+        grown = kernel.compose(t, s.perm)
+        if kernel.inv_count(grown) != kernel.inv_count(t) + s.length:
+            raise RuntimeError(
+                f"transported conjugator of {y} by atom {a} is not simple")
+        t = grown
+        z = _conjugate_by_simple(z, s.perm)
 
 
 def minimal_simple_elements(y: CanonicalBraid) -> frozenset[SimpleElement]:

@@ -32,13 +32,15 @@ class SimpleElement:
 
     ``perm[i]`` is the 0-indexed final position of the strand starting at
     position ``i``; the identity permutation is the trivial braid and the
-    order-reversing permutation is the half twist.
+    order-reversing permutation is the half twist.  The constructor
+    accepts any sequence and stores it as a tuple.
     """
 
     n: int
     perm: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "perm", tuple(self.perm))
         if self.n < 2:
             raise ValueError("a braid group needs at least 2 strands")
         if len(self.perm) != self.n or sorted(self.perm) != list(range(self.n)):
@@ -183,8 +185,10 @@ class CanonicalBraid:
 
     ``factors`` holds the permutations of the ``x_i``; each is neither
     trivial nor the half twist and every adjacent pair is left weighted.
-    The constructor checks that; braids from :func:`normalize`, the
-    conversions and group operations come from the kernel and skip it.
+    The constructor accepts any sequences, stores them as tuples, so equal
+    braids compare and hash equal, and checks the normal form; braids from
+    :func:`normalize`, the conversions and group operations come from the
+    kernel and skip it.
     """
 
     n: int
@@ -192,6 +196,7 @@ class CanonicalBraid:
     factors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "factors", tuple(map(tuple, self.factors)))
         if self.n < 2:
             raise ValueError("a braid group needs at least 2 strands")
         if not kernel.is_normal(self.factors, self.n):
@@ -275,16 +280,6 @@ class CanonicalBraid:
         """Image under the abelianization homomorphism to the integers."""
         half = self.n * (self.n - 1) // 2
         return self.power * half + sum(kernel.inv_count(f) for f in self.factors)
-
-    def as_simple(self) -> SimpleElement | None:
-        """This braid as a simple element, or None if it is not one."""
-        if self.power == 0 and not self.factors:
-            return SimpleElement.identity(self.n)
-        if self.power == 1 and not self.factors:
-            return SimpleElement.delta(self.n)
-        if self.power == 0 and len(self.factors) == 1:
-            return SimpleElement(self.n, self.factors[0])
-        return None
 
     def __str__(self) -> str:
         return render_nf(self)

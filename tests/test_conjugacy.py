@@ -2,11 +2,12 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 
-from braidkit import kernel
+from braidkit import conjugacy, kernel
 from braidkit import (
     CanonicalBraid,
     CentralizerCase,
@@ -168,10 +169,10 @@ def orbit_samples(count, seed):
             letters = [rng.choice([1, -1]) * rng.randint(1, n - 1)
                        for _ in range(rng.randint(0, 16))]
             x = braid_from_text(n, " ".join(map(str, letters)))
-        try:
-            out.append(slide_to_rigid(x, max_iterations=10).target)
-        except SlidingBoundExceeded:
-            continue
+        for _ in range(10):
+            x = cyclic_sliding(x)
+        if is_rigid(x):
+            out.append(x)
     return out
 
 
@@ -183,12 +184,10 @@ def large_rigid_samples(count, seed):
         n = rng.choice((6, 7))
         letters = [rng.choice([1, -1]) * rng.randint(1, n - 1)
                    for _ in range(rng.randint(4, 24))]
-        try:
-            x = braid_from_text(n, " ".join(map(str, letters)))
-            y = slide_to_rigid(x, max_iterations=20).target
-        except SlidingBoundExceeded:
-            continue
-        if y.canonical_length > 1:
+        y = braid_from_text(n, " ".join(map(str, letters)))
+        for _ in range(20):
+            y = cyclic_sliding(y)
+        if is_rigid(y) and y.canonical_length > 1:
             out.append(y)
     return out
 
@@ -341,7 +340,7 @@ class TestMinimalSimpleElements:
                                  SimpleElement.from_letters(4, (3, 2))})
 
     @staticmethod
-    def _exhaustive_minimal_elements(y):
+    def _rigid_conjugators(y):
         # ground truth by scanning every nontrivial simple conjugator
         reaching = []
         for p in itertools.permutations(range(y.n)):
@@ -350,6 +349,11 @@ class TestMinimalSimpleElements:
                 continue
             if is_rigid(y.conjugate_by(s.braid())):
                 reaching.append(s)
+        return reaching
+
+    @classmethod
+    def _exhaustive_minimal_elements(cls, y):
+        reaching = cls._rigid_conjugators(y)
         return frozenset(
             s for s in reaching
             if not any(t != s and t.is_prefix_of(s) for t in reaching)
@@ -376,6 +380,35 @@ class TestMinimalSimpleElements:
             if count >= 40:
                 break
         assert count >= 40
+
+    def test_every_minimal_rigid_conjugator_matches_exhaustive(self):
+        # c_y(a) for every atom a, not only the prefix-minimal values
+        count = 0
+        for y in rigid_samples(200, seed=12):
+            if y.canonical_length <= 1 or y.n > 5:
+                continue
+            reaching = self._rigid_conjugators(y)
+            y_inv = y.inverse()
+            for i in range(1, y.n):
+                a = SimpleElement.atom(i, y.n)
+                got = _minimal_rigid_conjugator(y, y_inv, a.perm)
+                above = [s for s in reaching if a.is_prefix_of(s)]
+                assert got in above, (y, a)
+                assert all(got.is_prefix_of(s) for s in above), (y, a)
+            count += 1
+            if count >= 40:
+                break
+        assert count >= 40
+
+    def test_minimal_rigid_conjugator_fault_ends_in_one_error(self, monkeypatch):
+        # a preferred prefix that never runs out grows t past the simples
+        s1 = SimpleElement.atom(1, 3)
+        monkeypatch.setattr(conjugacy, "preferred_prefix", lambda x: s1)
+        y = B(3, "1 1")
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="not simple"):
+            _minimal_rigid_conjugator(y, y.inverse(), s1.perm)
+        assert time.perf_counter() - start < 1.0
 
     def test_minimal_elements_match_walk_on_six_and_seven_strands(self):
         minimal = 0

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from braidkit import (
     BraidWord,
     CanonicalBraid,
+    NonGeneric,
     SimpleElement,
     braid_from_text,
+    extract_root,
     normalize,
     parse_nf,
     render_nf,
@@ -141,6 +143,15 @@ class TestNormalForms:
                            (3, ((0, 1, 2),)), (1, ())):
             with pytest.raises(ValueError):
                 CanonicalBraid(n, 0, factors)
+
+    def test_constructors_store_tuples(self):
+        # lists from a caller must give the same, hashable values as tuples
+        assert SimpleElement(3, [1, 0, 2]) == SimpleElement.atom(1, 3)
+        assert SimpleElement(3, [0, 1, 2]).is_identity()
+        x = CanonicalBraid(3, 0, [[1, 2, 0], [1, 0, 2]])
+        assert x == B(3, "2 1 1") and hash(x) == hash(B(3, "2 1 1"))
+        assert extract_root(x, 3) == NonGeneric(
+            "power of Delta", CanonicalBraid.delta_power(3, 1), B(3, "2 1"))
 
     def test_from_factors_rejects_foreign_strand_counts(self):
         with pytest.raises(ValueError):
