@@ -21,7 +21,11 @@ stays in the super summit set (the set of such conjugators is closed under
 joins and meets), then cyclic sliding carries that conjugator to a rigid
 braid without overshooting, because transport along sliding is monotone
 inside the super summit set.  Each phase costs a polynomial in the strand
-count times the canonical length.
+count times the canonical length, nearly all of it in joins that fold a
+remainder through the factors of the braid and of its inverse.  Two sound
+early stops cut that down: a fold ends once its remainder is trivial, and
+an atom whose growing conjugator reaches an atom already shown to lead to
+the whole factor leads there too, so it needs no further rounds.
 
 Everything here is a pure function over immutable values and safe to call
 concurrently.
@@ -40,17 +44,20 @@ class SlidingBoundExceeded(Exception):
     """Iterated cyclic sliding hit its bound, or a repeat, before a rigid braid.
 
     Carries the last iterate and the conjugator accumulated so far, so a
-    caller can hand the state to a fallback solver.
+    caller can hand the state to a fallback solver.  ``repeated`` tells
+    whether sliding stopped because ``last`` had been slid before; such a
+    braid lies on a sliding circuit, hence in the super summit set.
     """
 
     def __init__(self, last: CanonicalBraid, conjugator: CanonicalBraid,
-                 iterations: int):
+                 iterations: int, repeated: bool):
         super().__init__(
             f"no rigid conjugate within {iterations} cyclic slidings"
         )
         self.last = last
         self.conjugator = conjugator
         self.iterations = iterations
+        self.repeated = repeated
 
 
 class CentralizerError(Exception):
@@ -196,35 +203,41 @@ def sliding_iteration_bound(x: CanonicalBraid) -> int:
 def slide_to_rigid(x: CanonicalBraid) -> ConjugationCertificate:
     """Iterate cyclic sliding until rigid, accumulating the conjugator.
 
-    Raises :class:`SlidingBoundExceeded` after
-    :func:`sliding_iteration_bound` slidings or at the first repeat, which
-    cycles: a rigid braid is its own slide.
+    Raises :class:`SlidingBoundExceeded` at the first repeat, which cycles
+    (a rigid braid is its own slide), or else after
+    :func:`sliding_iteration_bound` slidings; ``repeated`` says which.
     """
     bound = sliding_iteration_bound(x)
     y = x
     seen: dict[CanonicalBraid, SimpleElement] = {}  # iterate -> its prefix
     while True:
         prefix = preferred_prefix(y)
-        if prefix.is_identity() or len(seen) >= bound or y in seen:
+        if prefix.is_identity() or y in seen or len(seen) >= bound:
             break
         seen[y] = prefix
         y = _conjugate_by_simple(y, prefix.perm)
     alpha = CanonicalBraid.from_factors(x.n, seen.values())
     if not prefix.is_identity():
-        raise SlidingBoundExceeded(y, alpha, len(seen))
+        raise SlidingBoundExceeded(y, alpha, len(seen), y in seen)
     return ConjugationCertificate(x, y, alpha, len(seen))
 
 
 def _remainder(fs, s):
     # y'^-1 (y' v s) for the positive braid y' spelled by the factors fs:
     # (f g)^-1 ((f g) v s) = g^-1 (g v f^-1 (f v s)), and it stays simple.
+    # Once s is the identity every later step gives the identity again,
+    # since f^-1 (f v 1) = 1, so the fold stops there.
+    idp = tuple(range(len(s)))
     for f in fs:
+        if s == idp:
+            break
         s = kernel.compose(kernel.invert(f), kernel.join(f, s))
     return s
 
 
 def _minimal_rigid_conjugator(y: CanonicalBraid, y_inv: CanonicalBraid,
-                              a: tuple) -> SimpleElement:
+                              a: tuple, top: SimpleElement | None = None,
+                              settled: tuple = ()) -> SimpleElement:
     """The smallest simple ``c`` with ``a`` a prefix and ``y^c`` rigid.
 
     ``y`` is rigid and ``y_inv`` is its inverse.  Phase 1 closes ``t = a``
@@ -241,6 +254,16 @@ def _minimal_rigid_conjugator(y: CanonicalBraid, y_inv: CanonicalBraid,
     raises ``RuntimeError``, an internal fault.  That check also bounds
     the loop: every sliding adds at least one crossing to ``t``, and a
     simple element has at most ``n(n-1)/2``.
+
+    ``settled`` lists indices ``i`` of atoms ``s_i`` already known to have
+    ``c_y(s_i) = top``, for a rigid conjugator ``top`` of which ``a`` is a
+    prefix; ``top`` is returned as soon as ``t`` has one of them as a
+    prefix, in either phase.  This is sound: ``c_y(a) <= top``, since
+    ``top`` is a rigid conjugator above ``a``, and ``t <= c_y(a)``
+    throughout, by the above.  Rigid conjugators are closed under meets
+    (Gebhardt and Gonzalez-Meneses, Math. Z. 2010), so ``c_y(s_i)`` is the
+    least rigid conjugator above ``s_i``, and ``s_i <= t <= c_y(a)`` gives
+    ``top = c_y(s_i) <= c_y(a)``.  Hence ``c_y(a) = top``.
     """
     p, q = y.power & 1, y_inv.power & 1
     t = a
@@ -248,6 +271,8 @@ def _minimal_rigid_conjugator(y: CanonicalBraid, y_inv: CanonicalBraid,
         grown = kernel.join(t, _remainder(y.factors, kernel.tau(t) if p else t))
         grown = kernel.join(
             grown, _remainder(y_inv.factors, kernel.tau(t) if q else t))
+        if any(grown[i - 1] > grown[i] for i in settled):
+            return top
         if grown == t:
             break
         t = grown
@@ -260,6 +285,8 @@ def _minimal_rigid_conjugator(y: CanonicalBraid, y_inv: CanonicalBraid,
         if kernel.inv_count(grown) != kernel.inv_count(t) + s.length:
             raise RuntimeError(
                 f"transported conjugator of {y} by atom {a} is not simple")
+        if any(grown[i - 1] > grown[i] for i in settled):
+            return top
         t = grown
         z = _conjugate_by_simple(z, s.perm)
 
@@ -304,16 +331,22 @@ def is_uss_minimal(y: CanonicalBraid) -> bool:
     every minimal simple element is a prefix of one of them.  So the test
     asks, for each atom ``a`` below either top, whether the smallest rigid
     conjugator above ``a`` is that top itself, and stops at the first atom
-    where it is not.
+    where it is not.  The atoms of one top that passed settle the later
+    ones early (see :func:`_minimal_rigid_conjugator`): a later atom whose
+    growing conjugator reaches one of them needs no further joins.
     """
     if y.canonical_length <= 1:
         return False
     y_inv = y.inverse()
     for top in (initial_factor(y), final_factor(y).complement()):
+        settled: tuple = ()
         for i in range(1, y.n):
-            if top.perm[i - 1] > top.perm[i] and _minimal_rigid_conjugator(
-                    y, y_inv, SimpleElement.atom(i, y.n).perm) != top:
+            if top.perm[i - 1] < top.perm[i]:
+                continue
+            if _minimal_rigid_conjugator(y, y_inv, SimpleElement.atom(i, y.n).perm,
+                                         top, settled) != top:
                 return False
+            settled += (i,)
     return True
 
 

@@ -81,12 +81,26 @@ def verify_root(x: CanonicalBraid, k: int, a: CanonicalBraid) -> bool:
     conjugacy class, so ``inf(x) <= k inf(y)`` and ``sup(x) >= k sup(y)``
     (hence ``l(x) >= k l(y)``) must hold.  When ``a`` has a rigid conjugate,
     powering after these checks is cheap: either ``k <= l(x)``, or ``a`` is
-    conjugate to a half-twist power and so are all its powers.  When sliding
-    ``a`` stops at its bound or at a repeat short of rigidity, the summit
-    check is skipped and the answer comes from powering alone, which is not
-    cheap: on 4 strands ``verify_root(identity, k, s1 s3^-1)`` passes every
-    check and builds ``a ** k`` of canonical length ``2k``, taking seconds at
-    ``k = 1000`` (ROADMAP item 6).
+    conjugate to a half-twist power and so are all its powers.
+
+    When sliding ``a`` stops at a repeat, the repeated iterate ``z`` lies on
+    a sliding circuit, and sliding circuits lie in the ultra summit set,
+    hence in the super summit set (Gebhardt and Gonzalez-Meneses, "The
+    cyclic sliding operation in Garside groups", Math. Z. 2010).  So
+    ``inf(z)`` and ``sup(z)`` are the summit inf and sup of ``a``, the
+    largest inf and smallest sup in its conjugacy class.  The stable inf
+    ``lim inf(g^m)/m`` and stable sup satisfy ``inf_ss(g) <= inf_s(g) <
+    inf_ss(g) + 1`` and ``sup_ss(g) - 1 < sup_s(g) <= sup_ss(g)`` (Lee and
+    Lee, "Translation numbers in a Garside group are rational with
+    uniformly bounded denominators", J. Pure Appl. Algebra), and they
+    are homogeneous, ``inf_s(g^k) = k inf_s(g)``, by definition.  If
+    ``a^k = x``, then ``inf(x) <= inf_ss(x) <= inf_s(x) = k inf_s(a) <
+    k (inf(z) + 1)`` and likewise ``sup(x) >= sup_ss(x) >= sup_s(x) =
+    k sup_s(a) > k (sup(z) - 1)``; either bracket failing refutes ``a``.
+    On 4 strands ``s1 s3^-1`` repeats at ``D^-1 | 2 1 3 2 1 | 1``, so it is
+    refuted as a root of the identity for every ``k`` without building
+    ``a ** k``, of canonical length ``2k``.  When sliding stops at its
+    bound instead, only powering decides.
     """
     _check_degree(k)
     if k * a.exponent_sum() != x.exponent_sum():
@@ -95,8 +109,10 @@ def verify_root(x: CanonicalBraid, k: int, a: CanonicalBraid) -> bool:
         return False
     try:
         y = slide_to_rigid(a).target
-    except SlidingBoundExceeded:
-        pass
+    except SlidingBoundExceeded as exc:
+        z = exc.last
+        if exc.repeated and (x.inf >= k * (z.inf + 1) or x.sup <= k * (z.sup - 1)):
+            return False
     else:
         if x.inf > k * y.inf or x.sup < k * y.sup:
             return False

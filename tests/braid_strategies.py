@@ -1,3 +1,5 @@
+"""Hypothesis strategies for braid words and normalized braids, shared by the tests."""
+
 import hypothesis.strategies as st
 
 from braidkit import BraidWord, normalize

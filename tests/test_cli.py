@@ -121,6 +121,14 @@ class TestConjugacyCommands:
             assert time.perf_counter() - started < 1.0
             assert code == 2 and out == "false\n"
 
+    def test_verify_refutes_a_root_whose_sliding_cycles(self, capsys):
+        # the root slides to a repeat at D^-1 | 2 1 3 2 1 | 1, so every
+        # power of it has inf < 0 < sup, and the identity is none of them
+        started = time.perf_counter()
+        code, out = run(capsys, "verify", "-n", "4", "-k", "100000000", "", "1 -3")
+        assert time.perf_counter() - started < 1.0
+        assert code == 2 and out == "false\n"
+
 
 # subcommand, options, operands after the word, and the exit codes on a
 # rigid word and on a word with no rigid conjugate within the sliding bound

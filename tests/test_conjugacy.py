@@ -24,16 +24,24 @@ from braidkit import (
     is_rigid,
     is_uss_minimal,
     minimal_simple_elements,
+    normalize,
     preferred_prefix,
     slide_to_rigid,
 )
 from braidkit.conjugacy import (
     _minimal_rigid_conjugator,
+    _remainder,
     render_certificate,
     render_orbit,
 )
+from braidkit.lab import (
+    POSITIVE_SIMPLE_PRODUCT,
+    SIGNED_ARTIN_WORD,
+    SampleSpec,
+    sample,
+)
 
-from conftest import braids
+from braid_strategies import braids
 
 
 def B(n, text):
@@ -128,6 +136,66 @@ def walk_is_uss_minimal(y):
     )
 
 
+# --- reference: the USS test without its early stops (any n) ---
+
+def reference_remainder(fs, s):
+    # y'^-1 (y' v s) for the positive braid y' spelled by the factors fs:
+    # (f g)^-1 ((f g) v s) = g^-1 (g v f^-1 (f v s)), and it stays simple.
+    for f in fs:
+        s = kernel.compose(kernel.invert(f), kernel.join(f, s))
+    return s
+
+
+def reference_minimal_rigid_conjugator(y, y_inv, a):
+    """c_y(a): join-close ``a`` into the super summit set, then slide."""
+    p, q = y.power & 1, y_inv.power & 1
+    t = a
+    while True:
+        grown = kernel.join(
+            t, reference_remainder(y.factors, kernel.tau(t) if p else t))
+        grown = kernel.join(
+            grown, reference_remainder(y_inv.factors, kernel.tau(t) if q else t))
+        if grown == t:
+            break
+        t = grown
+    z = y.conjugate_by(SimpleElement(y.n, t).braid())
+    while True:
+        s = preferred_prefix(z)
+        if s.is_identity():
+            return SimpleElement(y.n, t)
+        t = kernel.compose(t, s.perm)
+        z = z.conjugate_by(s.braid())
+
+
+def reference_is_uss_minimal(y):
+    if y.canonical_length <= 1:
+        return False
+    y_inv = y.inverse()
+    for top in (initial_factor(y), final_factor(y).complement()):
+        for i in range(1, y.n):
+            if top.perm[i - 1] > top.perm[i] and reference_minimal_rigid_conjugator(
+                    y, y_inv, SimpleElement.atom(i, y.n).perm) != top:
+                return False
+    return True
+
+
+def lab_rigid_samples(seed=7, count=18):
+    """Rigid braids of canonical length > 1 on 8 to 12 strands from lab
+    streams, from both sampling models; roughly 40 % of them have a
+    non-minimal ultra summit set."""
+    out = []
+    for n in range(8, 13):
+        for model, r in ((POSITIVE_SIMPLE_PRODUCT, 3), (SIGNED_ARTIN_WORD, 4 * n)):
+            for word in sample(SampleSpec(n, r, model, seed, count)):
+                try:
+                    y = slide_to_rigid(normalize(word)).target
+                except SlidingBoundExceeded:
+                    continue
+                if y.canonical_length > 1:
+                    out.append(y)
+    return out
+
+
 # --- reference: follow the cycling orbit one cycling at a time ---
 
 def loop_cycling_orbit(y):
@@ -190,6 +258,19 @@ def large_rigid_samples(count, seed):
         if is_rigid(y) and y.canonical_length > 1:
             out.append(y)
     return out
+
+
+def _count_joins(monkeypatch):
+    """Count ``kernel.join`` calls from here on; the count is ``joins[0]``."""
+    joins = [0]
+    join = kernel.join
+
+    def counted(a, b):
+        joins[0] += 1
+        return join(a, b)
+
+    monkeypatch.setattr(kernel, "join", counted)
+    return joins
 
 
 class TestFactors:
@@ -311,6 +392,20 @@ class TestSliding:
             cur = cyclic_sliding(cur)
         raise AssertionError("sliding trajectory did not become periodic")
 
+    def test_sliding_failure_says_whether_it_repeated(self, monkeypatch):
+        x = B(4, "1 -3")
+        with pytest.raises(SlidingBoundExceeded) as info:
+            slide_to_rigid(x)
+        exc = info.value
+        assert exc.repeated and exc.iterations == 2
+        assert str(exc.last) == "D^-1 | 2 1 3 2 1 | 1"
+        assert str(exc) == "no rigid conjugate within 2 cyclic slidings"
+        # a bound of one slide stops it before anything repeats
+        monkeypatch.setattr(conjugacy, "sliding_iteration_bound", lambda x: 1)
+        with pytest.raises(SlidingBoundExceeded) as info:
+            slide_to_rigid(x)
+        assert not info.value.repeated and info.value.iterations == 1
+
     def test_sliding_conjugator_can_overshoot_a_smaller_witness(self):
         # The accumulated sliding conjugator is a valid positive conjugator to
         # a rigid braid but not always the prefix-smallest one: here a single
@@ -419,6 +514,54 @@ class TestMinimalSimpleElements:
             assert is_uss_minimal(y) == walk_is_uss_minimal(y), y
             minimal += is_uss_minimal(y)
         assert 10 <= minimal <= len(samples) - 10
+
+    def test_uss_test_matches_the_reference_on_eight_to_twelve_strands(self):
+        # both early stops leave c_y(a) and the verdict unchanged; the
+        # settled cut is checked on every atom, also past the first atom
+        # whose c_y(a) misses its top
+        samples = lab_rigid_samples()
+        minimal = 0
+        for y in samples:
+            y_inv = y.inverse()
+            expected = {i: reference_minimal_rigid_conjugator(
+                y, y_inv, SimpleElement.atom(i, y.n).perm) for i in range(1, y.n)}
+            for i, c in expected.items():
+                assert _minimal_rigid_conjugator(
+                    y, y_inv, SimpleElement.atom(i, y.n).perm) == c, (y, i)
+            verdict = True
+            for top in (initial_factor(y), final_factor(y).complement()):
+                below = [i for i in expected if top.perm[i - 1] > top.perm[i]]
+                verdict = verdict and all(expected[i] == top for i in below)
+                for i in below:
+                    settled = tuple(j for j in below if j < i and expected[j] == top)
+                    if settled:
+                        got = _minimal_rigid_conjugator(
+                            y, y_inv, SimpleElement.atom(i, y.n).perm, top, settled)
+                        assert got == expected[i], (y, i, settled)
+            assert is_uss_minimal(y) == verdict, y
+            minimal += verdict
+        assert len(samples) >= 90 and {y.n for y in samples} == set(range(8, 13))
+        assert 20 <= minimal <= len(samples) - 20
+
+    def test_remainder_of_the_identity_makes_no_join(self, monkeypatch):
+        y = B(6, "1 2 3 4 5 1 2 3 -4 5 5 2")
+        joins = _count_joins(monkeypatch)
+        assert _remainder(y.factors, kernel.identity(6)) == kernel.identity(6)
+        assert joins == [0]
+
+    def test_uss_test_makes_fewer_joins_than_the_reference(self, monkeypatch):
+        # y = D^0 | 1 3 | 3 2 4 | 2 1 3 has a minimal ultra summit set, and
+        # both of its tops have two atoms
+        y = B(5, "3 3 4 4 1 -4 2 2 -1 3 1 1")
+        assert is_rigid(y)
+        for top in (initial_factor(y), final_factor(y).complement()):
+            assert sum(top.perm[i - 1] > top.perm[i] for i in range(1, 5)) == 2
+        joins = _count_joins(monkeypatch)
+        assert reference_is_uss_minimal(y)
+        reference = joins[0]
+        joins[0] = 0
+        assert is_uss_minimal(y)
+        assert 0 < joins[0] < reference
 
     def test_minimal_rigid_conjugator_is_not_the_inf_shortcut(self):
         # Appending initial factors of y^t while inf drops reaches delta

@@ -19,7 +19,7 @@ from braidkit import (
 )
 from braidkit import cycling, cyclic_sliding, decycling, kernel, lab
 
-from conftest import braid_pairs, braid_triples, braid_words, braids
+from braid_strategies import braid_pairs, braid_triples, braid_words, braids
 
 
 def B(n, text):

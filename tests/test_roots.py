@@ -22,9 +22,9 @@ from braidkit import (
     verify_root,
 )
 from braidkit.conjugacy import sliding_iteration_bound
-from braidkit.lab import POSITIVE_SIMPLE_PRODUCT, SampleSpec, sample
+from braidkit.lab import POSITIVE_SIMPLE_PRODUCT, SIGNED_ARTIN_WORD, SampleSpec, sample
 
-from conftest import braids
+from braid_strategies import braids
 
 
 def B(n, text):
@@ -51,6 +51,29 @@ class TestVerifyRoot:
         # exponent sums agree; refuted by inf (2 * 1 > 0), then by sup (3 > 2 * 1)
         assert not verify_root(B(3, "1 1 1 1 1 1"), 2, B(3, "1 2 1"))
         assert not verify_root(B(3, "2 1 -2 1 1 -2"), 2, B(3, "1"))
+
+    def test_summit_brackets_refute_without_powering(self):
+        # s1 s3^-1 slides to a repeat at D^-1 | 2 1 3 2 1 | 1, so a k-th
+        # power has inf < 0 and sup > 0, and the identity is none of them
+        identity, a = CanonicalBraid.identity(4), B(4, "1 -3")
+        started = time.perf_counter()
+        assert not verify_root(identity, 1000, a)
+        assert not verify_root(identity, 10 ** 8, a)
+        assert time.perf_counter() - started < 0.5
+
+    def test_summit_brackets_keep_true_roots(self):
+        # true roots that slide to no rigid braid pass the brackets
+        repeats = 0
+        for word in sample(SampleSpec(5, 8, SIGNED_ARTIN_WORD, 13, 80)):
+            a = normalize(word)
+            try:
+                slide_to_rigid(a)
+                continue
+            except SlidingBoundExceeded as exc:
+                repeats += exc.repeated
+            for k in (2, 3, 5):
+                assert verify_root(a ** k, k, a), (a, k)
+        assert repeats >= 20
 
 
 class TestExtractRootFixtures:
