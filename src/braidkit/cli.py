@@ -27,7 +27,7 @@ from .conjugacy import (
     render_orbit,
     slide_to_rigid,
 )
-from .core import BraidWord, CanonicalBraid, normalize, render_nf
+from .core import CanonicalBraid, braid_from_text, render_nf
 from .roots import NonGeneric, NoRoot, Root, extract_root, verify_root
 
 EXIT_OK = 0
@@ -49,7 +49,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_braid(args) -> CanonicalBraid:
-    return normalize(BraidWord.parse(args.n, args.word))
+    return braid_from_text(args.n, args.word)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -90,7 +90,7 @@ def _slide(args, detail: bool):
     try:
         return slide_to_rigid(_parse_braid(args))
     except SlidingBoundExceeded as exc:
-        _emit(args, {"nonGeneric": "not rigid within bound",
+        _emit(args, {"nonGeneric": exc.reason,
                      "last": render_nf(exc.last),
                      "conjugator": render_nf(exc.conjugator),
                      "iterations": exc.iterations},
@@ -161,7 +161,7 @@ def _cmd_root(args) -> int:
 
 def _cmd_verify(args) -> int:
     x = _parse_braid(args)
-    a = normalize(BraidWord.parse(args.n, args.root_word))
+    a = braid_from_text(args.n, args.root_word)
     answer = verify_root(x, args.k, a)
     _emit(args, {"verified": answer}, "true" if answer else "false")
     return EXIT_OK if answer else EXIT_NO_ROOT

@@ -15,17 +15,17 @@ cycling conjugator and an explicit basis of the centralizer all cheaply
 computable, provided the ultra summit set is minimal.  Minimality is decided
 from a single rigid representative by computing its minimal simple
 conjugators and comparing them with the initial factor and the complement of
-the final factor.  For each atom, the smallest rigid conjugator above it is
-found in two phases: joins close the atom to the smallest conjugator that
-stays in the super summit set (the set of such conjugators is closed under
-joins and meets), then cyclic sliding carries that conjugator to a rigid
-braid without overshooting, because transport along sliding is monotone
-inside the super summit set.  Each phase costs a polynomial in the strand
-count times the canonical length, nearly all of it in joins that fold a
-remainder through the factors of the braid and of its inverse.  Two sound
-early stops cut that down: a fold ends once its remainder is trivial, and
-an atom whose growing conjugator reaches an atom already shown to lead to
-the whole factor leads there too, so it needs no further rounds.
+the final factor.  For each atom, the smallest rigid conjugator above it
+grows in one loop over the conjugate it reaches: while that conjugate leaves
+the super summit set, the conjugator joins in the remainder of the bound
+that fails, the least it must contain; inside that set, cyclic sliding grows
+it without overshooting, because transport along sliding is monotone there.
+The cost is a polynomial in the strand count times the canonical length,
+nearly all of it in joins that fold a remainder through the factors of the
+braid or of its inverse.  Two sound early stops cut that down: a fold ends
+once its remainder is trivial, and an atom whose growing conjugator reaches
+an atom already shown to lead to the whole factor leads there too, so it
+needs no further passes.
 
 Everything here is a pure function over immutable values and safe to call
 concurrently.
@@ -49,6 +49,8 @@ class SlidingBoundExceeded(Exception):
     braid lies on a sliding circuit, hence in the super summit set.
     """
 
+    reason = "not rigid within bound"  # as a non-generic outcome reports it
+
     def __init__(self, last: CanonicalBraid, conjugator: CanonicalBraid,
                  iterations: int, repeated: bool):
         super().__init__(
@@ -70,7 +72,7 @@ class CentralizerError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class ConjugationCertificate:
-    """A verified conjugation ``conjugator^-1 * source * conjugator = target``."""
+    """The claim ``conjugator^-1 * source * conjugator = target``; nothing checks it."""
 
     source: CanonicalBraid
     target: CanonicalBraid
@@ -240,55 +242,54 @@ def _minimal_rigid_conjugator(y: CanonicalBraid, y_inv: CanonicalBraid,
                               settled: tuple = ()) -> SimpleElement:
     """The smallest simple ``c`` with ``a`` a prefix and ``y^c`` rigid.
 
-    ``y`` is rigid and ``y_inv`` is its inverse.  Phase 1 closes ``t = a``
-    to the super summit set: ``inf(y^t) >= inf(y)`` holds exactly when
-    ``t`` has ``y'^-1 (y' v tau^p(t))`` as a prefix, for ``y = delta^p y'``,
-    and the same test on ``y^-1`` enforces ``sup(y^t) <= sup(y)``; both
-    remainders grow with ``t``, so joining them in until nothing changes
-    gives the smallest such ``t`` above ``a``.  Phase 2 slides ``z = y^t``
-    to rigidity, growing ``t`` by each preferred prefix ``s``.  Transport
-    along cyclic sliding is monotone inside the super summit set and leaves
-    every rigid conjugator of ``y`` fixed, so ``t`` stays a prefix of the
-    answer and ends on it.  In particular ``t s`` stays simple, that is,
-    the crossing counts of ``t`` and ``s`` add; a product where they do not
-    raises ``RuntimeError``, an internal fault.  That check also bounds
-    the loop: every sliding adds at least one crossing to ``t``, and a
-    simple element has at most ``n(n-1)/2``.
+    ``y`` is rigid, ``y_inv`` its inverse.  Each pass reads ``z = y^t``,
+    from ``t = a``.  As ``y`` lies in its super summit set, ``inf(z) <=
+    inf(y)`` and ``sup(z) >= sup(y)``, with equality in both just when
+    ``z`` lies there too.  For ``y = delta^p y'``, ``inf(z) = inf(y)``
+    exactly when ``t`` has ``y'^-1 (y' v tau^p(t))`` as a prefix; the same
+    remainder on ``y^-1`` decides ``sup(z) = sup(y)``.
+
+    Invariant, ``t <= c_y(a)``: a remainder grows with ``t``, and ``c_y(a)``
+    has both of its own as prefixes, so joining in the failing side's keeps
+    the invariant.  Inside the super summit set, transport along cyclic
+    sliding is monotone and fixes the rigid conjugator ``c_y(a)``, so ``t s
+    <= c_y(a)`` for the preferred prefix ``s`` of ``z``; a ``t s`` that is
+    not simple raises ``RuntimeError``, an internal fault.  Termination:
+    every pass grows ``t``, so there are at most ``n(n-1)/2``; the failing
+    side's remainder is no prefix of ``t``, and a join that leaves ``t``
+    unchanged raises ``RuntimeError`` anyway.  Result: the loop returns
+    only at a rigid ``z``, so ``t = c_y(a)``.
 
     ``settled`` lists indices ``i`` of atoms ``s_i`` already known to have
     ``c_y(s_i) = top``, for a rigid conjugator ``top`` of which ``a`` is a
     prefix; ``top`` is returned as soon as ``t`` has one of them as a
-    prefix, in either phase.  This is sound: ``c_y(a) <= top``, since
-    ``top`` is a rigid conjugator above ``a``, and ``t <= c_y(a)``
-    throughout, by the above.  Rigid conjugators are closed under meets
-    (Gebhardt and Gonzalez-Meneses, Math. Z. 2010), so ``c_y(s_i)`` is the
-    least rigid conjugator above ``s_i``, and ``s_i <= t <= c_y(a)`` gives
-    ``top = c_y(s_i) <= c_y(a)``.  Hence ``c_y(a) = top``.
+    prefix.  This is sound: ``c_y(a) <= top``, since ``top`` is a rigid
+    conjugator above ``a``, and ``t <= c_y(a)`` throughout, by the above.
+    Rigid conjugators are closed under meets (Gebhardt and
+    Gonzalez-Meneses, Math. Z. 2010), so ``c_y(s_i)`` is the least rigid
+    conjugator above ``s_i``, and ``s_i <= t <= c_y(a)`` gives ``top =
+    c_y(s_i) <= c_y(a)``.  Hence ``c_y(a) = top``.
     """
-    p, q = y.power & 1, y_inv.power & 1
     t = a
     while True:
-        grown = kernel.join(t, _remainder(y.factors, kernel.tau(t) if p else t))
-        grown = kernel.join(
-            grown, _remainder(y_inv.factors, kernel.tau(t) if q else t))
-        if any(grown[i - 1] > grown[i] for i in settled):
-            return top
-        if grown == t:
-            break
-        t = grown
-    z = _conjugate_by_simple(y, t)
-    while True:
-        s = preferred_prefix(z)
-        if s.is_identity():
-            return SimpleElement(y.n, t)
-        grown = kernel.compose(t, s.perm)
-        if kernel.inv_count(grown) != kernel.inv_count(t) + s.length:
-            raise RuntimeError(
-                f"transported conjugator of {y} by atom {a} is not simple")
+        z = _conjugate_by_simple(y, t)
+        if z.inf < y.inf or z.sup > y.sup:
+            side = y if z.inf < y.inf else y_inv
+            grown = kernel.join(t, _remainder(
+                side.factors, kernel.tau(t) if side.power & 1 else t))
+            if grown == t:
+                raise RuntimeError(f"conjugator of {y} by atom {a} stopped growing")
+        else:
+            s = preferred_prefix(z)
+            if s.is_identity():
+                return SimpleElement(y.n, t)
+            grown = kernel.compose(t, s.perm)
+            if kernel.inv_count(grown) != kernel.inv_count(t) + s.length:
+                raise RuntimeError(
+                    f"transported conjugator of {y} by atom {a} is not simple")
         if any(grown[i - 1] > grown[i] for i in settled):
             return top
         t = grown
-        z = _conjugate_by_simple(z, s.perm)
 
 
 def minimal_simple_elements(y: CanonicalBraid) -> frozenset[SimpleElement]:
@@ -302,10 +303,9 @@ def minimal_simple_elements(y: CanonicalBraid) -> frozenset[SimpleElement]:
     ``c_y(a)``: conjugating by ``a`` and then running :func:`slide_to_rigid`
     can overshoot it, as already in B_4, where conjugating ``s2^2`` by
     ``s1`` and sliding to rigidity accumulates ``s1 s2 s3 s2 s1``, although
-    ``s1 s2`` already reaches the rigid ``s1^2``.  So ``a`` is first closed
-    under joins to the smallest conjugator that stays in the super summit
-    set, where sliding can no longer overshoot.  The cost is polynomial in
-    the strand count and the canonical length.
+    ``s1 s2`` already reaches the rigid ``s1^2``.  So the conjugator above
+    ``a`` grows by joins while its conjugate is outside the super summit
+    set, and slides only inside it, where sliding cannot overshoot.
     """
     if y.canonical_length <= 1:
         raise ValueError("minimal simple elements need canonical length > 1")
@@ -333,7 +333,7 @@ def is_uss_minimal(y: CanonicalBraid) -> bool:
     conjugator above ``a`` is that top itself, and stops at the first atom
     where it is not.  The atoms of one top that passed settle the later
     ones early (see :func:`_minimal_rigid_conjugator`): a later atom whose
-    growing conjugator reaches one of them needs no further joins.
+    growing conjugator reaches one of them has the top as its answer.
     """
     if y.canonical_length <= 1:
         return False

@@ -135,7 +135,7 @@ def extract_root(x: CanonicalBraid, k: int) -> RootOutcome:
     try:
         cert = slide_to_rigid(x)
     except SlidingBoundExceeded as exc:
-        return NonGeneric("not rigid within bound", exc.last, exc.conjugator)
+        return NonGeneric(exc.reason, exc.last, exc.conjugator)
     y, alpha = cert.target, cert.conjugator
 
     if y.canonical_length == 0:

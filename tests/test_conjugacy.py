@@ -505,6 +505,31 @@ class TestMinimalSimpleElements:
             _minimal_rigid_conjugator(y, y.inverse(), s1.perm)
         assert time.perf_counter() - start < 1.0
 
+    def test_minimal_rigid_conjugator_stops_when_a_join_adds_nothing(self, monkeypatch):
+        # a remainder that never grows t would otherwise loop for ever
+        monkeypatch.setattr(conjugacy, "_remainder", lambda fs, s: tuple(range(len(s))))
+        y = B(3, "1 1")
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="stopped growing"):
+            _minimal_rigid_conjugator(y, y.inverse(), SimpleElement.atom(2, 3).perm)
+        assert time.perf_counter() - start < 1.0
+
+    def test_uss_test_folds_only_the_side_that_fails(self, monkeypatch):
+        # one fold per join pass, on the side whose bound fails, and none
+        # once y^t is in the super summit set
+        folds = [0]
+        remainder = conjugacy._remainder
+
+        def counted(fs, s):
+            folds[0] += 1
+            return remainder(fs, s)
+
+        monkeypatch.setattr(conjugacy, "_remainder", counted)
+        for text, n, expected in (("3 3 4 4 1 -4 2 2 -1 3 1 1", 5, 3), ("1 1", 3, 1)):
+            folds[0] = 0
+            assert is_uss_minimal(B(n, text))
+            assert folds[0] == expected, text
+
     def test_minimal_elements_match_walk_on_six_and_seven_strands(self):
         minimal = 0
         samples = large_rigid_samples(120, seed=3)

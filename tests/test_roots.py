@@ -1,5 +1,6 @@
 """Root extraction: fixtures, soundness, planted-root completeness."""
 
+import hashlib
 import time
 
 import pytest
@@ -18,6 +19,7 @@ from braidkit import (
     kernel,
     normalize,
     quick_no_root,
+    render_nf,
     slide_to_rigid,
     verify_root,
 )
@@ -274,7 +276,7 @@ class TestRootProperties:
 
 def test_planted_square_roots_on_ten_strands_take_polynomial_time():
     # An exhaustive search of the minimal simple elements took 1 to 9 s per
-    # query on these inputs; the join closure takes tens of milliseconds.
+    # query on these inputs; the polynomial USS test takes milliseconds.
     cases = []
     for j in range(3):
         spec = SampleSpec(n=10, r=1, model=POSITIVE_SIMPLE_PRODUCT,
@@ -286,3 +288,31 @@ def test_planted_square_roots_on_ten_strands_take_polynomial_time():
     outcomes = [extract_root(x, 2) for _, x in cases]
     assert time.perf_counter() - started < 2.0
     assert outcomes == [Root(a) for a, _ in cases]
+
+
+def test_outcome_stream_on_a_fixed_lab_grid_is_pinned():
+    # The Root / NoRoot / NonGeneric stream, with each root and reason, on
+    # fixed lab grids: planted squares, and sampled words at k = 2, 3.
+    digest = hashlib.sha256()
+    classes = set()
+
+    def record(outcome):
+        root = render_nf(outcome.root) if isinstance(outcome, Root) else ""
+        reason = outcome.reason if isinstance(outcome, NonGeneric) else ""
+        classes.add(type(outcome))
+        digest.update(f"{type(outcome).__name__}|{root}|{reason}\n".encode())
+
+    start = time.perf_counter()
+    for n in range(4, 8):
+        for word in sample(SampleSpec(n, 8, POSITIVE_SIMPLE_PRODUCT, 12, 25)):
+            a = normalize(word)
+            record(extract_root(a * a, 2))
+    for n in range(4, 7):
+        for word in sample(SampleSpec(n, 48, SIGNED_ARTIN_WORD, 12, 40)):
+            x = normalize(word)
+            for k in (2, 3):
+                record(extract_root(x, k))
+    assert time.perf_counter() - start < 3.0
+    assert classes == {Root, NoRoot, NonGeneric}
+    assert digest.hexdigest() == \
+        "c24494495632bfb0ca2faade9844c2fa7694fca7a4c08d057fb457c88d47fbb3"
