@@ -19,13 +19,86 @@ is the transitive closure of the union of their inversion sets.  The meet
 follows by reversal: reversing a tuple, which is composing with the half
 twist on the left, takes its inversion set to the mirror image of the
 complement, so it reverses the prefix order, and the meet of ``a`` and ``b``
-is the reversal of the join of their reversals.  Inversion sets are held as
-per-row bitmasks, so everything here is O(n^2) words.
+is the reversal of the join of their reversals.
+
+Each permutation the kernel meets gets one immutable record: the shared
+tuple itself, its inverse, its inversion set packed into one int (bit
+``i*n + j`` for the pair ``(i, j)``, so row ``i`` is ``n`` bits wide), and
+the descent masks of it and of its inverse (bit ``i`` for ``p[i] >
+p[i+1]``).  A record is built once, in O(n) big-int operations, and the
+records of a permutation and of its inverse share their two tuples.  Then
+``invert`` and ``inv_count`` are lookups, ``is_prefix`` and
+``is_left_weighted`` one AND each, and ``join`` starts from an OR of two
+packed inversion sets.  Equal factors returned by ``normalize_factors`` are
+the record's own tuple, so braids that stay alive together (planted inputs,
+orbits, powers) share one copy of each factor.  The table of records holds
+more than the 7! simples of B_7 and is emptied when full, which bounds it
+on any strand count.  It is safe to share between threads without a lock:
+every record is immutable and depends only on its permutation, and each
+dict operation is atomic, so an insert lost to a concurrent one or a
+record dropped by a clear only loses cached work.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+
+class _Record(NamedTuple):
+    perm: tuple[int, ...]
+    inverse: tuple[int, ...]
+    rows: int
+    descents: int
+    inverse_descents: int
+
+
+_RECORDS: dict[tuple[int, ...], _Record] = {}
+_RECORDS_BOUND = 1 << 14
+
+
+def _descents(p: Sequence[int]) -> int:
+    mask = 0
+    for i in range(len(p) - 1):
+        if p[i] > p[i + 1]:
+            mask |= 1 << i
+    return mask
+
+
+def _rows(inverse: Sequence[int]) -> int:
+    """The packed inversion set of the permutation with this inverse."""
+    n = len(inverse)
+    # Visit the strands by final position: the strands right of i that end
+    # left of it are then the ones already seen.
+    rows = seen = 0
+    for i in inverse:
+        rows |= (seen >> (i + 1)) << (i * n + i + 1)
+        seen |= 1 << i
+    return rows
+
+
+def _record(p: Sequence[int]) -> _Record:
+    """The record of the permutation ``p``, built on first sight."""
+    if type(p) is not tuple:
+        p = tuple(p)
+    rec = _RECORDS.get(p)
+    if rec is not None:
+        return rec
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    q = tuple(inv)
+    twin = _RECORDS.get(q)
+    if twin is not None:
+        # Take both tuples from the record of p^-1, so a pair of inverses
+        # holds one copy of each.
+        p, q = twin.inverse, twin.perm
+    elif q == p:
+        q = p
+    rec = _Record(p, q, _rows(q), _descents(p), _descents(q))
+    if len(_RECORDS) >= _RECORDS_BOUND:
+        _RECORDS.clear()
+    _RECORDS[p] = rec
+    return rec
 
 
 def identity(n: int) -> tuple[int, ...]:
@@ -43,22 +116,12 @@ def compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 
 def invert(a: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        out[x] = i
-    return tuple(out)
+    return _record(a).inverse
 
 
 def inv_count(a: Sequence[int]) -> int:
     """Number of inversions = number of strand crossings = Coxeter length."""
-    n = len(a)
-    total = 0
-    for i in range(n):
-        ai = a[i]
-        for j in range(i + 1, n):
-            if ai > a[j]:
-                total += 1
-    return total
+    return _record(a).rows.bit_count()
 
 
 def tau(a: Sequence[int]) -> tuple[int, ...]:
@@ -79,20 +142,6 @@ def left_complement(a: Sequence[int]) -> tuple[int, ...]:
     return invert(a)[::-1]
 
 
-def _inversion_rows(a: Sequence[int]) -> list[int]:
-    """Row bitmasks of the inversion set: bit j of rows[i] is set iff i<j and a[i]>a[j]."""
-    n = len(a)
-    rows = [0] * n
-    for i in range(n):
-        ai = a[i]
-        m = 0
-        for j in range(i + 1, n):
-            if ai > a[j]:
-                m |= 1 << j
-        rows[i] = m
-    return rows
-
-
 def _close_rows(rows: list[int]) -> list[int]:
     """Transitive closure under (i,j),(j,k) -> (i,k); rows[i] only holds bits > i."""
     n = len(rows)
@@ -108,26 +157,33 @@ def _close_rows(rows: list[int]) -> list[int]:
 
 
 def _perm_from_rows(rows: list[int]) -> tuple[int, ...]:
-    """Rebuild the permutation whose inversion set is the (valid) row family."""
+    """The permutation whose inversion set is the row family, checked.
+
+    Row ``i`` holds as many bits as strands right of ``i`` end left of it,
+    so that popcount picks ``p[i]`` among the values still free.
+    """
     n = len(rows)
-    out = []
-    for i in range(n):
-        v = rows[i].bit_count()
-        for j in range(i):
-            if not (rows[j] >> i) & 1:
-                v += 1
-        out.append(v)
-    if sorted(out) != list(range(n)):
+    free = list(range(n))
+    try:
+        rec = _record([free.pop(r.bit_count()) for r in rows])
+    except IndexError:
+        rec = None
+    if rec is None or rec.rows != sum(r << (i * n) for i, r in enumerate(rows)):
         raise RuntimeError(f"row family {rows!r} is not an inversion set")
-    return tuple(out)
+    return rec.perm
 
 
 def join(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """Prefix-order join: transitive closure of the union of the inversion sets."""
-    ra = _inversion_rows(a)
-    rb = _inversion_rows(b)
-    rows = [x | y for x, y in zip(ra, rb)]
-    return _perm_from_rows(_close_rows(rows))
+    ra, rb = _record(a), _record(b)
+    union = ra.rows | rb.rows
+    if union == ra.rows:
+        return ra.perm
+    if union == rb.rows:
+        return rb.perm
+    n = len(ra.perm)
+    full = (1 << n) - 1
+    return _perm_from_rows(_close_rows([(union >> (i * n)) & full for i in range(n)]))
 
 
 def meet(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -136,8 +192,8 @@ def meet(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 
 def is_prefix(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Whether ``a`` is a prefix of ``b``: lengths add along ``a * (a^-1 b) = b``."""
-    return inv_count(a) + inv_count(compose(invert(a), b)) == inv_count(b)
+    """Whether ``a`` is a prefix of ``b``: its crossing set lies in that of ``b``."""
+    return not _record(a).rows & ~_record(b).rows
 
 
 def is_left_weighted(s: Sequence[int], t: Sequence[int]) -> bool:
@@ -147,20 +203,7 @@ def is_left_weighted(s: Sequence[int], t: Sequence[int]) -> bool:
     ``complement(s)`` iff ``s^-1`` does not descend there, so the test reduces
     to comparing descent sets.
     """
-    n = len(s)
-    sinv = invert(s)
-    for i in range(n - 1):
-        if t[i] > t[i + 1] and sinv[i] < sinv[i + 1]:
-            return False
-    return True
-
-
-# Equal factors returned by normalize_factors are one shared tuple, so
-# braids that stay alive together (sampled inputs, orbits, powers) do not
-# each hold their own copies.  The table holds more than the 7! simples of
-# B_7 and is emptied when full, which bounds it on any strand count.
-_SHARED: dict[tuple[int, ...], tuple[int, ...]] = {}
-_SHARED_BOUND = 1 << 14
+    return not _record(t).descents & ~_record(s).inverse_descents
 
 
 def normalize_factors(
@@ -208,7 +251,7 @@ def normalize_factors(
 
     Returns ``(delta_count, core)`` with the input product equal to
     ``delta^delta_count * core`` and ``core`` in left normal form.  The
-    factors of ``core`` are taken from a bounded table, so equal factors
+    factors of ``core`` are the tuples of their records, so equal factors
     are shared between results.
     """
     idp = identity(n)
@@ -247,10 +290,7 @@ def normalize_factors(
             body.pop()
     if flip:
         body = list(map(tau, body))
-    core = list(map(_SHARED.setdefault, body, body))
-    if len(_SHARED) > _SHARED_BOUND:
-        _SHARED.clear()
-    return power, core
+    return power, [_record(f).perm for f in body]
 
 
 def is_normal(factors: Sequence[Sequence[int]], n: int) -> bool:
