@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import kernel
 
@@ -162,23 +162,6 @@ class BraidWord:
         return self.text()
 
 
-def _collect(items: Sequence[tuple[int, tuple[int, ...]]], n: int) -> CanonicalBraid:
-    """Normal form of a product of terms ``delta^d * u``.
-
-    Half-twist powers commute to the front by twisting every factor they
-    pass with tau; tau has order two, so only the parity of the power
-    accumulated to the right of each factor matters.
-    """
-    acc = 0
-    out = []
-    for d, u in reversed(items):
-        out.append(kernel.tau(u) if acc & 1 else u)
-        acc += d
-    out.reverse()
-    p, core = kernel.normalize_factors(out, n)
-    return _trusted(n, acc + p, tuple(core))
-
-
 @dataclass(frozen=True, slots=True)
 class CanonicalBraid:
     """A braid in left normal form ``delta^power x_1 ... x_l``.
@@ -252,9 +235,21 @@ class CanonicalBraid:
         return _trusted(self.n, self.power + other.power + p, tuple(core))
 
     def inverse(self) -> CanonicalBraid:
-        items = [(-1, kernel.left_complement(f)) for f in reversed(self.factors)]
-        items.append((-self.power, kernel.identity(self.n)))
-        return _collect(items, self.n)
+        """``delta^-(p+l) tau^(p+l)(dx_l) ... tau^(p+1)(dx_1)``, read off ``self``.
+
+        With ``d`` the right complement, ``x_i^-1 = dx_i delta^-1``, and the
+        ``p + i`` half twists right of ``dx_i`` pass it as ``y delta^-1 =
+        delta^-1 tau(y)``.  This is normal (Elrifai and Morton 1994): ``d``
+        swaps 1 and ``delta``; tau commutes with ``d`` and ``/\\``; and as
+        ``dd = tau``, the pair ``(tau^(k+1)(dx_(i+1)), tau^k(dx_i))``, ``k =
+        p + i``, is left weighted iff ``tau^k(x_(i+1) /\\ dx_i) = 1``, which
+        holds as ``(x_i, x_(i+1))`` is left weighted.
+        """
+        p, factors = self.power, []
+        for i in range(len(self.factors), 0, -1):
+            dx = kernel.right_complement(self.factors[i - 1])
+            factors.append(kernel.tau(dx) if (p + i) & 1 else dx)
+        return _trusted(self.n, -(p + len(self.factors)), tuple(factors))
 
     def __pow__(self, exp: int) -> CanonicalBraid:
         """Square-and-multiply from the top bit; no product by the identity."""
@@ -291,8 +286,8 @@ class CanonicalBraid:
 def _trusted(n: int, power: int, factors: tuple) -> CanonicalBraid:
     """A braid from kernel-built factors, without the normal-form check.
 
-    Sound for output of ``kernel.normalize_factors``, its ``tau`` twists
-    and runs of a normal form's factors, all normal by construction.
+    Sound for output of ``kernel.normalize_factors``, its ``tau`` twists,
+    runs of a normal form's factors and inverses, all normal by construction.
     """
     braid = object.__new__(CanonicalBraid)
     object.__setattr__(braid, "n", n)
@@ -304,17 +299,25 @@ def _trusted(n: int, power: int, factors: tuple) -> CanonicalBraid:
 def normalize(word: BraidWord) -> CanonicalBraid:
     """Left normal form of a word in the Artin generators.
 
-    A negative letter is rewritten as ``delta^-1`` times the left complement
-    of its generator before the half-twist powers are pushed to the front.
+    A negative letter is ``delta^-1`` times the left complement of its
+    generator, and each half twist moving to the front twists the factors
+    it passes by tau.  The word's constructor has range-checked every
+    letter, so each letter's simple and its twist are built once, unchecked.
     """
-    items = []
-    for e in word.letters:
-        perm = SimpleElement.atom(abs(e), word.n).perm
-        if e > 0:
-            items.append((0, perm))
-        else:
-            items.append((-1, kernel.left_complement(perm)))
-    return _collect(items, word.n)
+    simples = {}
+    for e in set(word.letters):
+        perm = list(range(word.n))
+        perm[abs(e) - 1], perm[abs(e)] = abs(e), abs(e) - 1
+        u = tuple(perm) if e > 0 else kernel.left_complement(perm)
+        simples[e] = (u, kernel.tau(u))
+    twists = 0  # half twists right of the current letter
+    out = []
+    for e in reversed(word.letters):
+        out.append(simples[e][twists & 1])
+        twists += e < 0
+    out.reverse()
+    p, core = kernel.normalize_factors(out, word.n)
+    return _trusted(word.n, p - twists, tuple(core))
 
 
 def braid_from_text(n: int, text: str) -> CanonicalBraid:

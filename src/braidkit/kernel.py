@@ -15,11 +15,10 @@ Conventions, used consistently everywhere:
   exactly when the crossing set of ``s`` is contained in that of ``t``.
 
 The prefix-order join of two simples is the permutation whose inversion set
-is the transitive closure of the union of their inversion sets.  The meet
-follows by reversal: reversing a tuple, which is composing with the half
-twist on the left, takes its inversion set to the mirror image of the
-complement, so it reverses the prefix order, and the meet of ``a`` and ``b``
-is the reversal of the join of their reversals.
+is the transitive closure of the union of their inversion sets.  The lattice
+is self-dual (Epstein et al., *Word Processing in Groups*, ch. 9), so the
+meet's inversion set is ``P - closure(P - (I(a) & I(b)))`` for the crossing
+set ``P`` of the half twist: one closure of the packed set serves both.
 
 Each permutation the kernel meets gets one immutable record: the shared
 tuple itself, its inverse, its inversion set packed into one int (bit
@@ -27,20 +26,20 @@ tuple itself, its inverse, its inversion set packed into one int (bit
 the descent masks of it and of its inverse (bit ``i`` for ``p[i] >
 p[i+1]``).  A record is built once, in O(n) big-int operations, and the
 records of a permutation and of its inverse share their two tuples.  Then
-``invert`` and ``inv_count`` are lookups, ``is_prefix`` and
-``is_left_weighted`` one AND each, and ``join`` starts from an OR of two
-packed inversion sets.  Equal factors returned by ``normalize_factors`` are
-the record's own tuple, so braids that stay alive together (planted inputs,
-orbits, powers) share one copy of each factor.  The table of records holds
-more than the 7! simples of B_7 and is emptied when full, which bounds it
-on any strand count.  It is safe to share between threads without a lock:
-every record is immutable and depends only on its permutation, and each
-dict operation is atomic, so an insert lost to a concurrent one or a
-record dropped by a clear only loses cached work.
+``invert`` and ``inv_count`` are lookups, and ``is_prefix`` and
+``is_left_weighted`` one AND each.  Equal factors returned by
+``normalize_factors`` are the record's own tuple, so braids that stay alive
+together (planted inputs, orbits, powers) share one copy of each factor.
+The table of records holds more than the 7! simples of B_7 and is emptied
+when full, which bounds it on any strand count.  It is safe to share between
+threads without a lock: every record is immutable and depends only on its
+permutation, and each dict operation is atomic, so an insert lost to a
+concurrent one or a record dropped by a clear only loses cached work.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple, Sequence
 
 
@@ -142,53 +141,62 @@ def left_complement(a: Sequence[int]) -> tuple[int, ...]:
     return invert(a)[::-1]
 
 
-def _close_rows(rows: list[int]) -> list[int]:
-    """Transitive closure under (i,j),(j,k) -> (i,k); rows[i] only holds bits > i."""
-    n = len(rows)
-    for j in range(n - 2, 0, -1):
-        rj = rows[j]
-        if not rj:
-            continue
-        bit = 1 << j
-        for i in range(j):
-            if rows[i] & bit:
-                rows[i] |= rj
-    return rows
+@cache
+def _masks(n: int) -> tuple[int, int]:
+    """Bit 0 of every row, and the packed crossing set of the half twist."""
+    return sum(1 << (i * n) for i in range(n)), _rows(range(n - 1, -1, -1))
 
 
-def _perm_from_rows(rows: list[int]) -> tuple[int, ...]:
-    """The permutation whose inversion set is the row family, checked.
+def _perm_from_rows(pairs: int, n: int) -> tuple[int, ...]:
+    """The permutation whose packed inversion set is ``pairs``, checked.
 
     Row ``i`` holds as many bits as strands right of ``i`` end left of it,
     so that popcount picks ``p[i]`` among the values still free.
     """
-    n = len(rows)
+    full = (1 << n) - 1
     free = list(range(n))
     try:
-        rec = _record([free.pop(r.bit_count()) for r in rows])
+        rec = _record([free.pop(((pairs >> (i * n)) & full).bit_count())
+                       for i in range(n)])
     except IndexError:
         rec = None
-    if rec is None or rec.rows != sum(r << (i * n) for i, r in enumerate(rows)):
-        raise RuntimeError(f"row family {rows!r} is not an inversion set")
+    if rec is None or rec.rows != pairs:
+        raise RuntimeError(f"row family {pairs:#x} is not an inversion set")
     return rec.perm
+
+
+def _closed(a: Sequence[int], b: Sequence[int], flip: int) -> tuple[int, ...]:
+    """The simple with crossing set ``flip ^ closure((flip ^ I(a)) | (flip ^ I(b)))``.
+
+    ``flip`` is 0 for a join and ``P`` for a meet.  The closure is
+    Warshall's: for each ``j`` one product, which cannot carry since rows
+    are ``n`` bits wide, copies row ``j`` into each row holding (i, j).
+    """
+    ra, rb = _record(a), _record(b)
+    fa, fb = ra.rows ^ flip, rb.rows ^ flip
+    pairs = fa | fb
+    if pairs == fa:
+        return ra.perm
+    if pairs == fb:
+        return rb.perm
+    n = len(ra.perm)
+    full = (1 << n) - 1
+    column = _masks(n)[0]
+    for j in range(n - 2, 0, -1):
+        row = (pairs >> (j * n)) & full
+        if row:
+            pairs |= ((pairs >> j) & column) * row
+    return _perm_from_rows(pairs ^ flip, n)
 
 
 def join(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """Prefix-order join: transitive closure of the union of the inversion sets."""
-    ra, rb = _record(a), _record(b)
-    union = ra.rows | rb.rows
-    if union == ra.rows:
-        return ra.perm
-    if union == rb.rows:
-        return rb.perm
-    n = len(ra.perm)
-    full = (1 << n) - 1
-    return _perm_from_rows(_close_rows([(union >> (i * n)) & full for i in range(n)]))
+    return _closed(a, b, 0)
 
 
 def meet(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Prefix-order meet: the reversal of the join of the reversals."""
-    return join(a[::-1], b[::-1])[::-1]
+    """Prefix-order meet: the join of the inversion-set complements, complemented."""
+    return _closed(a, b, _masks(len(a))[1])
 
 
 def is_prefix(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -245,9 +253,9 @@ def normalize_factors(
     Cost: a factor appended to an already normal prefix costs one
     ``is_left_weighted`` check and no meet, so a normal input of ``m``
     factors costs ``m - 1`` checks.  In general each input factor costs one
-    pass of at most ``l`` transfers (``l`` the body length), each a meet,
-    O(n^2) word operations, and at most one ``tau``, plus one per factor
-    right of a half twist the pass makes.
+    pass of at most ``l`` transfers (``l`` the body length), each a meet
+    of ``n - 2`` steps on ``n^2``-bit integers, and at most one ``tau``, plus
+    one per factor right of a half twist the pass makes.
 
     Returns ``(delta_count, core)`` with the input product equal to
     ``delta^delta_count * core`` and ``core`` in left normal form.  The

@@ -1,8 +1,30 @@
-"""Hypothesis strategies for braid words and normalized braids, shared by the tests."""
+"""Shared test helpers: hypothesis strategies for braids, a ``python -O`` runner."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import hypothesis.strategies as st
 
+import braidkit
 from braidkit import BraidWord, normalize
+
+
+def run_optimized(source):
+    """Run ``source`` in a ``python -O`` subprocess that imports this braidkit.
+
+    Returns its stdout; fails the calling test if it exits non-zero or if
+    assertions were not stripped.
+    """
+    src = Path(braidkit.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "if __debug__:\n    raise SystemExit('not optimized')\n"
+    result = subprocess.run([sys.executable, "-O", "-c", code + textwrap.dedent(source)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Braid arithmetic: simple elements, words, normal forms, group laws."""
 
+import random
 import time
 
 import hypothesis.strategies as st
@@ -24,6 +25,39 @@ from braid_strategies import braid_pairs, braid_triples, braid_words, braids
 
 def B(n, text):
     return braid_from_text(n, text)
+
+
+# The normal form of a product of terms ``delta^d * u`` as braidkit built it
+# before inverses were read off the normal form: half twists commute to the
+# front, twisting each factor they pass, and the factors are renormalized.
+# Kept as the reference for ``normalize`` and ``CanonicalBraid.inverse``.
+
+def collect_reference(items, n):
+    acc = 0
+    out = []
+    for d, u in reversed(items):
+        out.append(kernel.tau(u) if acc & 1 else u)
+        acc += d
+    out.reverse()
+    p, core = kernel.normalize_factors(out, n)
+    return CanonicalBraid(n, acc + p, core)
+
+
+def normalize_reference(word):
+    items = []
+    for e in word.letters:
+        perm = SimpleElement.atom(abs(e), word.n).perm
+        if e > 0:
+            items.append((0, perm))
+        else:
+            items.append((-1, kernel.left_complement(perm)))
+    return collect_reference(items, word.n)
+
+
+def inverse_reference(x):
+    items = [(-1, kernel.left_complement(f)) for f in reversed(x.factors)]
+    items.append((-x.power, kernel.identity(x.n)))
+    return collect_reference(items, x.n)
 
 
 class TestSimpleElements:
@@ -280,6 +314,19 @@ class TestGroupLaws:
         assert (x * x.inverse()).is_identity()
         assert (x.inverse() * x).is_identity()
         assert x.inverse().inverse() == x
+
+    def test_inverse_and_normalize_match_the_collect_reference(self):
+        rng = random.Random(14)
+        shapes = set()
+        for _ in range(2400):
+            n = rng.randint(2, 8)
+            word = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                                      for _ in range(rng.randint(0, 14))))
+            x = normalize(word)
+            assert x == normalize_reference(word)
+            assert x.inverse() == inverse_reference(x)
+            shapes.add((x.canonical_length == 0, x.power % 2))
+        assert shapes == {(True, 0), (True, 1), (False, 0), (False, 1)}
 
     @settings(max_examples=40, deadline=None)
     @given(braids(max_len=6))

@@ -5,9 +5,9 @@ import itertools
 import random
 from pathlib import Path
 
-import pytest
-
 import braidkit.kernel as pyk
+
+from braid_strategies import run_optimized
 
 
 def random_perm(rng, n):
@@ -19,7 +19,7 @@ def random_perm(rng, n):
 def test_delta_is_reversal():
     assert pyk.delta(4) == (3, 2, 1, 0)
     assert pyk.identity(3) == (0, 1, 2)
-    # the identity meet and left_complement rely on
+    # the identity left_complement relies on
     assert all(pyk.compose(pyk.delta(n), a) == a[::-1]
                for n in range(1, 6) for a in itertools.permutations(range(n)))
 
@@ -95,14 +95,34 @@ def test_invalid_row_family_raises_under_optimization():
     # (0, 2) inverted without (0, 1) or (1, 2) is no inversion set, and nor
     # is a row holding bits at or below its own index; the check raises
     # rather than asserts, so ``python -O`` keeps it
-    for rows in ([0b100, 0, 0], [0, 0b11, 0]):
-        with pytest.raises(RuntimeError, match="not an inversion set"):
-            pyk._perm_from_rows(rows)
+    out = run_optimized("""
+        import braidkit.kernel as k
+        for pairs in (0b100, 0b11 << 3):
+            try:
+                k._perm_from_rows(pairs, 3)
+            except RuntimeError as exc:
+                print(exc)
+        """)
+    assert out.count("is not an inversion set") == 2, out
 
 
-# The kernel's loop bodies before per-permutation records, kept as the
-# reference the record-based ops are checked against; the row closure is
-# the kernel's own, which the records did not change.
+def test_meet_records_only_its_result():
+    # meet reads its operands' packed sets; it builds no record for a
+    # permutation the caller does not get back
+    rng = random.Random(12)
+    for n in (3, 8, 20):
+        for _ in range(30):
+            a, b = random_perm(rng, n), random_perm(rng, n)
+            pyk._RECORDS.clear()
+            for p in (a, b, pyk.delta(n)):
+                pyk._record(p)
+            before = set(pyk._RECORDS)
+            m = pyk.meet(a, b)
+            assert set(pyk._RECORDS) - before <= {m}
+
+
+# The kernel's loop bodies before per-permutation records and the packed
+# closure, kept as the reference the record-based ops are checked against.
 
 def ref_invert(a):
     out = [0] * len(a)
@@ -151,9 +171,23 @@ def ref_perm_from_rows(rows):
     return tuple(out)
 
 
+def ref_close_rows(rows: list[int]) -> list[int]:
+    """Transitive closure under (i,j),(j,k) -> (i,k); rows[i] only holds bits > i."""
+    n = len(rows)
+    for j in range(n - 2, 0, -1):
+        rj = rows[j]
+        if not rj:
+            continue
+        bit = 1 << j
+        for i in range(j):
+            if rows[i] & bit:
+                rows[i] |= rj
+    return rows
+
+
 def ref_join(a, b):
     rows = [x | y for x, y in zip(ref_inversion_rows(a), ref_inversion_rows(b))]
-    return ref_perm_from_rows(pyk._close_rows(rows))
+    return ref_perm_from_rows(ref_close_rows(rows))
 
 
 def ref_meet(a, b):
@@ -177,8 +211,10 @@ def test_kernel_ops_match_the_loop_references():
              for a in itertools.permutations(range(n))
              for b in itertools.permutations(range(n))]
     rng = random.Random(9)
-    pairs += [(random_perm(rng, n), random_perm(rng, n))
-              for n in (8, 12, 20) for _ in range(200)]
+    for n, size in ((8, 200), (12, 200), (20, 200), (32, 60), (64, 20)):
+        pairs += [(random_perm(rng, n), random_perm(rng, n)) for _ in range(size)]
+        a = random_perm(rng, n)
+        pairs += [(pyk.identity(n), a), (a, pyk.delta(n)), (a, a)]
     pyk._RECORDS.clear()
     for count, (a, b) in enumerate(pairs):
         if count == len(pairs) // 2:

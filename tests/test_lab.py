@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from braidkit import NoRoot, RootExtractionError, SimpleElement, kernel, lab, normalize
+from braidkit import NoRoot, RootExtractionError, SimpleElement, lab, normalize
 from braidkit.cli import main
 from braidkit.lab import (
     BENCH_FIELDS,
@@ -22,6 +22,8 @@ from braidkit.lab import (
     run_root_roundtrip,
     sample,
 )
+
+from braid_strategies import run_optimized
 
 
 class TestRng:
@@ -97,21 +99,26 @@ class TestBruteOracles:
                 assert brute_meet(s, t) == s.meet(t)
                 assert brute_prefix(s, t) == s.is_prefix_of(t)
 
-    def test_brute_meet_raises_without_a_unique_top(self, monkeypatch):
+    def test_brute_meet_raises_without_a_unique_top(self):
         # A doctored relation that lists only 1, s1 and s2 as prefixes of
         # delta: neither atom is a prefix of the other, so the common
         # prefixes of delta and delta have no top.  The check raises rather
         # than asserts, so it also holds under python -O.
-        n = 3
-        perms = [kernel.identity(n), SimpleElement.atom(1, n).perm,
-                 SimpleElement.atom(2, n).perm, kernel.delta(n)]
-        prefixes_of = [{0}, {0, 1}, {0, 2}, {0, 1, 2}]
-        index = {p: i for i, p in enumerate(perms)}
-        monkeypatch.setattr(lab, "_brute_tables",
-                            lambda n: (perms, index, None, prefixes_of))
-        top = SimpleElement.delta(n)
-        with pytest.raises(RuntimeError, match="unique meet"):
-            brute_meet(top, top)
+        out = run_optimized("""
+            from braidkit import SimpleElement, kernel, lab
+            n = 3
+            perms = [kernel.identity(n), SimpleElement.atom(1, n).perm,
+                     SimpleElement.atom(2, n).perm, kernel.delta(n)]
+            prefixes_of = [{0}, {0, 1}, {0, 2}, {0, 1, 2}]
+            index = {p: i for i, p in enumerate(perms)}
+            lab._brute_tables = lambda n: (perms, index, None, prefixes_of)
+            top = SimpleElement.delta(n)
+            try:
+                lab.brute_meet(top, top)
+            except RuntimeError as exc:
+                print(exc)
+            """)
+        assert "unique meet" in out, out
 
     def test_brute_oracles_refuse_large_groups(self):
         with pytest.raises(ValueError):
