@@ -18,23 +18,27 @@ The prefix-order join of two simples is the permutation whose inversion set
 is the transitive closure of the union of their inversion sets.  The lattice
 is self-dual (Epstein et al., *Word Processing in Groups*, ch. 9), so the
 meet's inversion set is ``P - closure(P - (I(a) & I(b)))`` for the crossing
-set ``P`` of the half twist: one closure of the packed set serves both.
+set ``P`` of the half twist: one closure of the packed set serves both, and
+the transfers of ``normalize_factors``.
 
 Each permutation the kernel meets gets one immutable record: the shared
-tuple itself, its inverse, its inversion set packed into one int (bit
-``i*n + j`` for the pair ``(i, j)``, so row ``i`` is ``n`` bits wide), and
-the descent masks of it and of its inverse (bit ``i`` for ``p[i] >
-p[i+1]``).  A record is built once, in O(n) big-int operations, and the
-records of a permutation and of its inverse share their two tuples.  Then
-``invert`` and ``inv_count`` are lookups, and ``is_prefix`` and
-``is_left_weighted`` one AND each.  Equal factors returned by
-``normalize_factors`` are the record's own tuple, so braids that stay alive
-together (planted inputs, orbits, powers) share one copy of each factor.
-The table of records holds more than the 7! simples of B_7 and is emptied
-when full, which bounds it on any strand count.  It is safe to share between
-threads without a lock: every record is immutable and depends only on its
-permutation, and each dict operation is atomic, so an insert lost to a
-concurrent one or a record dropped by a clear only loses cached work.
+tuple itself, its inverse, and the inversion sets of both packed into one
+int each (bit ``i*n + j`` for the pair ``(i, j)``, so row ``i`` is ``n``
+bits wide).  A record is built once, in O(n) big-int operations, and the
+records of a permutation and of its inverse share their two tuples and are
+read off each other.  Then ``invert`` and ``inv_count`` are lookups, and
+``is_prefix`` and ``is_left_weighted`` one AND each.  A second table indexes
+the records by strand count and packed inversion set, so a closure finds its
+result's record without decoding it; the key needs the strand count, since
+the identities on 3 and on 4 strands, among others, have the same packed
+set.  Equal factors returned by ``normalize_factors`` are the record's own
+tuple, so braids that stay alive together (planted inputs, orbits, powers)
+share one copy of each factor.  The tables hold more than the 7! simples of
+B_7 and are emptied together when full, which bounds them on any strand
+count.  They are safe to share between threads without a lock: every record
+is immutable and depends only on its permutation, and each dict operation is
+atomic, so an insert lost to a concurrent one or a record dropped by a clear
+only loses cached work.
 """
 
 from __future__ import annotations
@@ -47,20 +51,12 @@ class _Record(NamedTuple):
     perm: tuple[int, ...]
     inverse: tuple[int, ...]
     rows: int
-    descents: int
-    inverse_descents: int
+    inverse_rows: int
 
 
 _RECORDS: dict[tuple[int, ...], _Record] = {}
+_BY_ROWS: dict[tuple[int, int], _Record] = {}  # (n, rows) -> record
 _RECORDS_BOUND = 1 << 14
-
-
-def _descents(p: Sequence[int]) -> int:
-    mask = 0
-    for i in range(len(p) - 1):
-        if p[i] > p[i + 1]:
-            mask |= 1 << i
-    return mask
 
 
 def _rows(inverse: Sequence[int]) -> int:
@@ -88,15 +84,18 @@ def _record(p: Sequence[int]) -> _Record:
     q = tuple(inv)
     twin = _RECORDS.get(q)
     if twin is not None:
-        # Take both tuples from the record of p^-1, so a pair of inverses
-        # holds one copy of each.
-        p, q = twin.inverse, twin.perm
-    elif q == p:
-        q = p
-    rec = _Record(p, q, _rows(q), _descents(p), _descents(q))
+        # Read everything off the record of p^-1, so a pair of inverses
+        # holds one copy of each tuple.
+        rec = _Record(twin.inverse, twin.perm, twin.inverse_rows, twin.rows)
+    else:
+        if q == p:
+            q = p
+        rec = _Record(p, q, _rows(q), _rows(p))
     if len(_RECORDS) >= _RECORDS_BOUND:
         _RECORDS.clear()
-    _RECORDS[p] = rec
+        _BY_ROWS.clear()
+    _RECORDS[rec.perm] = rec
+    _BY_ROWS[len(p), rec.rows] = rec
     return rec
 
 
@@ -142,9 +141,11 @@ def left_complement(a: Sequence[int]) -> tuple[int, ...]:
 
 
 @cache
-def _masks(n: int) -> tuple[int, int]:
-    """Bit 0 of every row, and the packed crossing set of the half twist."""
-    return sum(1 << (i * n) for i in range(n)), _rows(range(n - 1, -1, -1))
+def _masks(n: int) -> tuple[int, int, int]:
+    """Bit 0 of every row, and the packed crossing sets of the half twist and
+    of all atoms, the pairs ``(i, i+1)``."""
+    return (sum(1 << (i * n) for i in range(n)), _rows(range(n - 1, -1, -1)),
+            sum(1 << (i * n + i + 1) for i in range(n - 1)))
 
 
 def _perm_from_rows(pairs: int, n: int) -> tuple[int, ...]:
@@ -165,12 +166,29 @@ def _perm_from_rows(pairs: int, n: int) -> tuple[int, ...]:
     return rec.perm
 
 
+def _close(pairs: int, flip: int, n: int) -> _Record:
+    """The record of the simple with crossing set ``flip ^ closure(pairs)``.
+
+    The closure is Warshall's: for each ``j`` one product, which cannot
+    carry since rows are ``n`` bits wide, copies row ``j`` into each row
+    holding (i, j).  The result is looked up by its crossing set and only
+    decoded, and checked, when no record has that set.
+    """
+    full = (1 << n) - 1
+    column = _masks(n)[0]
+    for j in range(n - 2, 0, -1):
+        row = (pairs >> (j * n)) & full
+        if row:
+            pairs |= ((pairs >> j) & column) * row
+    pairs ^= flip
+    rec = _BY_ROWS.get((n, pairs))
+    return rec if rec is not None else _record(_perm_from_rows(pairs, n))
+
+
 def _closed(a: Sequence[int], b: Sequence[int], flip: int) -> tuple[int, ...]:
     """The simple with crossing set ``flip ^ closure((flip ^ I(a)) | (flip ^ I(b)))``.
 
-    ``flip`` is 0 for a join and ``P`` for a meet.  The closure is
-    Warshall's: for each ``j`` one product, which cannot carry since rows
-    are ``n`` bits wide, copies row ``j`` into each row holding (i, j).
+    ``flip`` is 0 for a join and ``P`` for a meet.
     """
     ra, rb = _record(a), _record(b)
     fa, fb = ra.rows ^ flip, rb.rows ^ flip
@@ -179,14 +197,7 @@ def _closed(a: Sequence[int], b: Sequence[int], flip: int) -> tuple[int, ...]:
         return ra.perm
     if pairs == fb:
         return rb.perm
-    n = len(ra.perm)
-    full = (1 << n) - 1
-    column = _masks(n)[0]
-    for j in range(n - 2, 0, -1):
-        row = (pairs >> (j * n)) & full
-        if row:
-            pairs |= ((pairs >> j) & column) * row
-    return _perm_from_rows(pairs ^ flip, n)
+    return _close(pairs, flip, len(ra.perm)).perm
 
 
 def join(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -207,11 +218,12 @@ def is_prefix(a: Sequence[int], b: Sequence[int]) -> bool:
 def is_left_weighted(s: Sequence[int], t: Sequence[int]) -> bool:
     """Whether the pair ``s, t`` is left weighted: complement(s) and t share no atom.
 
-    An atom divides ``t`` iff ``t`` descends at that position, and it divides
-    ``complement(s)`` iff ``s^-1`` does not descend there, so the test reduces
-    to comparing descent sets.
+    The atom ``sigma_i`` divides ``t`` iff ``(i, i+1)`` is a crossing of
+    ``t``, and it divides ``complement(s)`` iff ``(i, i+1)`` is not a
+    crossing of ``s^-1``, so the test reads the atoms' pairs of two packed
+    sets.
     """
-    return not _record(t).descents & ~_record(s).inverse_descents
+    return not _record(t).rows & ~_record(s).inverse_rows & _masks(len(s))[2]
 
 
 def normalize_factors(
@@ -239,6 +251,13 @@ def normalize_factors(
     the half twist leaves the body for ``p`` and everything left of it is
     twisted by ``tau``.
 
+    The body is held as records.  The left-weighting test is one AND of
+    packed sets, and the transfer's meet is one closure in the meet's
+    flipped form, where ``complement(s)`` contributes ``P - I(complement(s))
+    = I(s^-1)``, read off the record of ``s``: no tuple or record of the
+    complement is built.  The closure's result is looked up by its crossing
+    set, and ``s*m`` and ``m^-1*t`` are composed from the records' tuples.
+
     Twisting is deferred: the body is held as ``tau^flip`` of the true
     factors, so twisting everything left of position ``j`` flips ``flip``
     and twists only the factors right of ``j``, which the pass has just
@@ -247,15 +266,17 @@ def normalize_factors(
     of it -- one that arrives at an empty body, or one the pass makes at
     position 0 -- twists nothing, so it leaves ``flip`` alone.  Thus
     ``delta^-1 lc(u) x_1 ... x_l`` with ``u`` a prefix of ``x_1``, for the
-    left complement ``lc``, costs one ``is_left_weighted`` check and one
-    meet more than ``(u^-1 x_1) x_2 ... x_l``, and no ``tau``.
+    left complement ``lc``, costs one left-weighting test and one transfer
+    more than ``(u^-1 x_1) x_2 ... x_l``, and no ``tau``.
 
     Cost: a factor appended to an already normal prefix costs one
-    ``is_left_weighted`` check and no meet, so a normal input of ``m``
-    factors costs ``m - 1`` checks.  In general each input factor costs one
-    pass of at most ``l`` transfers (``l`` the body length), each a meet
-    of ``n - 2`` steps on ``n^2``-bit integers, and at most one ``tau``, plus
-    one per factor right of a half twist the pass makes.
+    left-weighting test and no transfer, so a normal input of ``m`` factors
+    costs ``m - 1`` tests.  In general each input factor costs one pass of
+    at most ``l`` transfers (``l`` the body length), each one closure of
+    ``n - 2`` steps on ``n^2``-bit integers (none when ``t`` is a prefix of
+    ``complement(s)``), one lookup by crossing set and two compositions,
+    and at most one ``tau``, plus one per factor right of a half twist the
+    pass makes.
 
     Returns ``(delta_count, core)`` with the input product equal to
     ``delta^delta_count * core`` and ``core`` in left normal form.  The
@@ -264,9 +285,10 @@ def normalize_factors(
     """
     idp = identity(n)
     dp = delta(n)
+    _, half, atoms = _masks(n)
     power = 0
     flip = 0  # body holds tau^flip of the true factors
-    body: list[tuple[int, ...]] = []
+    body: list[_Record] = []
     for f in factors:
         f = tuple(f)
         if f == idp:
@@ -276,29 +298,31 @@ def normalize_factors(
             if body:
                 flip ^= 1
             continue
-        body.append(tau(f) if flip else f)
+        body.append(_record(tau(f) if flip else f))
         i = len(body) - 1
         while i > 0:
             s, t = body[i - 1], body[i]
-            if is_left_weighted(s, t):
+            if not t.rows & ~s.inverse_rows & atoms:
                 break
-            move = meet(right_complement(s), t)
-            body[i] = compose(invert(move), t)
-            s = compose(s, move)
+            flipped = t.rows ^ half
+            pairs = s.inverse_rows | flipped
+            move = t if pairs == flipped else _close(pairs, half, n)
+            body[i] = _record(compose(move.inverse, t.perm))
+            s = compose(s.perm, move.perm)
             if s == dp:
                 del body[i - 1]
                 power += 1
                 if i > 1:
-                    body[i - 1:] = map(tau, body[i - 1:])
+                    body[i - 1:] = [_record(tau(r.perm)) for r in body[i - 1:]]
                     flip ^= 1
                 break
-            body[i - 1] = s
+            body[i - 1] = _record(s)
             i -= 1
-        if body[-1] == idp:
+        if not body[-1].rows:
             body.pop()
     if flip:
-        body = list(map(tau, body))
-    return power, [_record(f).perm for f in body]
+        return power, [_record(tau(r.perm)).perm for r in body]
+    return power, [r.perm for r in body]
 
 
 def is_normal(factors: Sequence[Sequence[int]], n: int) -> bool:

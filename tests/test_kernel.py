@@ -16,6 +16,11 @@ def random_perm(rng, n):
     return tuple(p)
 
 
+def empty_record_table():
+    pyk._RECORDS.clear()
+    pyk._BY_ROWS.clear()
+
+
 def test_delta_is_reversal():
     assert pyk.delta(4) == (3, 2, 1, 0)
     assert pyk.identity(3) == (0, 1, 2)
@@ -113,7 +118,7 @@ def test_meet_records_only_its_result():
     for n in (3, 8, 20):
         for _ in range(30):
             a, b = random_perm(rng, n), random_perm(rng, n)
-            pyk._RECORDS.clear()
+            empty_record_table()
             for p in (a, b, pyk.delta(n)):
                 pyk._record(p)
             before = set(pyk._RECORDS)
@@ -215,10 +220,10 @@ def test_kernel_ops_match_the_loop_references():
         pairs += [(random_perm(rng, n), random_perm(rng, n)) for _ in range(size)]
         a = random_perm(rng, n)
         pairs += [(pyk.identity(n), a), (a, pyk.delta(n)), (a, a)]
-    pyk._RECORDS.clear()
+    empty_record_table()
     for count, (a, b) in enumerate(pairs):
         if count == len(pairs) // 2:
-            pyk._RECORDS.clear()  # records are rebuilt on demand
+            empty_record_table()  # records are rebuilt on demand
         for x, y in ((a, b), (list(a), list(b))):
             assert pyk.join(x, y) == ref_join(x, y)
             assert pyk.meet(x, y) == ref_meet(x, y)
@@ -319,6 +324,14 @@ def test_normalize_factors_matches_the_step_back_sweep():
         n = rng.randint(2, 7)
         factors = conjugation_sequence(rng, n)
         assert pyk.normalize_factors(factors, n) == step_back_sweep(factors, n)
+    # Past n = 7 the table is emptied when full; start each sequence from
+    # an empty one, so transfers decode new results as well as look them up
+    rng = random.Random(13)
+    for n in (9, 12, 20):
+        for make in (random_factor_sequence, conjugation_sequence) * 15:
+            factors = make(rng, n)
+            empty_record_table()
+            assert pyk.normalize_factors(factors, n) == step_back_sweep(factors, n)
 
 
 def test_half_twists_at_the_front_twist_nothing(monkeypatch):
@@ -348,7 +361,7 @@ def test_half_twists_at_the_front_twist_nothing(monkeypatch):
 
 def test_equal_normal_forms_share_factor_objects():
     from braidkit import braid_from_text
-    pyk._RECORDS.clear()
+    empty_record_table()
     x = braid_from_text(4, "1 2 1 3 3 2")
     y = braid_from_text(4, "2 1 2 3 3 2")
     assert x == y and x.factors
@@ -373,13 +386,23 @@ def test_planted_braids_built_twice_share_factor_objects():
     assert all(f is g for f, g in zip(aa.factors, bb.factors))
 
 
+def packed_rows(a):
+    n = len(a)
+    return sum(row << (i * n) for i, row in enumerate(ref_inversion_rows(a)))
+
+
 def test_inverse_records_share_their_tuples():
-    pyk._RECORDS.clear()
     rng = random.Random(10)
     for n in (3, 7, 12):
-        a = pyk._record(random_perm(rng, n))
+        empty_record_table()
+        a = pyk._record(random_perm(rng, n))  # built without its twin
         b = pyk._record(tuple(list(a.inverse)))  # an equal tuple, not the same one
         assert b.perm is a.inverse and b.inverse is a.perm
+        # the transfer reads I(s^-1) off the record of s, on both build paths
+        for rec in (a, b):
+            assert rec.rows == packed_rows(rec.perm)
+            assert rec.inverse_rows == packed_rows(rec.inverse)
+            assert rec.inverse_rows == pyk._record(rec.inverse).rows
 
 
 def test_shared_factor_table_stays_within_its_bound():
@@ -388,5 +411,33 @@ def test_shared_factor_table_stays_within_its_bound():
     for _ in range(pyk._RECORDS_BOUND + 4000):
         pyk.normalize_factors([random_perm(rng, 9)], 9)
         sizes.append(len(pyk._RECORDS))
+        # the index by crossing set holds the same records, emptied together
+        assert len(pyk._BY_ROWS) == sizes[-1]
     assert max(sizes) <= pyk._RECORDS_BOUND
     assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it was emptied
+
+
+def test_results_keep_their_strand_count():
+    # the identities on 3 and 4 strands both pack to 0, and (1, 0, 2) and
+    # (1, 0, 2, 3) both to bit 1: a lookup by packed set alone would hand a
+    # record on one strand count to the other
+    rng = random.Random(14)
+    for first, second in ((3, 4), (4, 3)):
+        def table_of_the_other_count():
+            empty_record_table()
+            for p in itertools.permutations(range(first)):
+                pyk._record(p)
+
+        perms = list(itertools.permutations(range(second)))
+        for a in perms:
+            for b in perms:
+                table_of_the_other_count()
+                assert pyk.join(a, b) == ref_join(a, b)
+                table_of_the_other_count()
+                assert pyk.meet(a, b) == ref_meet(a, b)
+        for _ in range(100):
+            factors = random_factor_sequence(rng, second)
+            table_of_the_other_count()
+            power, core = pyk.normalize_factors(factors, second)
+            assert all(len(f) == second for f in core)
+            assert (power, core) == step_back_sweep(factors, second)
