@@ -21,13 +21,16 @@ meet's inversion set is ``P - closure(P - (I(a) & I(b)))`` for the crossing
 set ``P`` of the half twist: one closure of the packed set serves both, and
 the transfers of ``normalize_factors``.
 
-Each permutation the kernel meets gets one immutable record: the shared
-tuple itself, its inverse, and the inversion sets of both packed into one
-int each (bit ``i*n + j`` for the pair ``(i, j)``, so row ``i`` is ``n``
-bits wide).  A record is built once, in O(n) big-int operations, and the
-records of a permutation and of its inverse share their two tuples and are
-read off each other.  Then ``invert`` and ``inv_count`` are lookups, and
-``is_prefix`` and ``is_left_weighted`` one AND each.  A second table indexes
+Each permutation the kernel meets gets one record: the shared tuple
+itself, its inverse, and the inversion sets of both packed into one int
+each (bit ``i*n + j`` for the pair ``(i, j)``, so row ``i`` is ``n`` bits
+wide).  A record is built once, in O(n) big-int operations, and the records
+of a permutation and of its inverse share their two tuples and are read off
+each other.  Then ``invert`` and ``inv_count`` are lookups, and
+``is_prefix`` and ``is_left_weighted`` one AND each.  A record is immutable
+apart from its write-once twist link, filled on first use with the record
+of its ``tau``-image; ``tau`` is an involution, so one fill links both
+records of the pair, and ``tau`` is a lookup too.  A second table indexes
 the records by strand count and packed inversion set, so a closure finds its
 result's record without decoding it; the key needs the strand count, since
 the identities on 3 and on 4 strands, among others, have the same packed
@@ -35,23 +38,31 @@ set.  Equal factors returned by ``normalize_factors`` are the record's own
 tuple, so braids that stay alive together (planted inputs, orbits, powers)
 share one copy of each factor.  The tables hold more than the 7! simples of
 B_7 and are emptied together when full, which bounds them on any strand
-count.  They are safe to share between threads without a lock: every record
-is immutable and depends only on its permutation, and each dict operation is
-atomic, so an insert lost to a concurrent one or a record dropped by a clear
-only loses cached work.
+count.  A fill links a record to a twin in the tables, and the twin back
+only if its link is empty, so the records the tables hold keep at most as
+many dropped records alive through their links.  The tables are safe to
+share between threads without a lock: every field of a record depends only
+on its permutation, so a racing fill of a twist link writes an equal
+record, and each dict operation is atomic, so an insert lost to a
+concurrent one or a record dropped by a clear only loses cached work.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 
-class _Record(NamedTuple):
-    perm: tuple[int, ...]
-    inverse: tuple[int, ...]
-    rows: int
-    inverse_rows: int
+class _Record:
+    __slots__ = ("perm", "inverse", "rows", "inverse_rows", "twist")
+
+    def __init__(self, perm: tuple[int, ...], inverse: tuple[int, ...],
+                 rows: int, inverse_rows: int) -> None:
+        self.perm = perm
+        self.inverse = inverse
+        self.rows = rows
+        self.inverse_rows = inverse_rows
+        self.twist: _Record | None = None  # the record of tau(perm), once filled
 
 
 _RECORDS: dict[tuple[int, ...], _Record] = {}
@@ -99,6 +110,19 @@ def _record(p: Sequence[int]) -> _Record:
     return rec
 
 
+def _twisted(rec: _Record) -> _Record:
+    """The record of ``tau(rec.perm)``, linked to ``rec`` on first use."""
+    twin = rec.twist
+    if twin is None:
+        p = rec.perm
+        n1 = len(p) - 1
+        twin = _record([n1 - x for x in p[::-1]])
+        if twin.twist is None:
+            twin.twist = rec
+        rec.twist = twin
+    return twin
+
+
 def identity(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
@@ -110,7 +134,7 @@ def delta(n: int) -> tuple[int, ...]:
 
 def compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """Product of simple braids: ``a`` first, then ``b``."""
-    return tuple(b[x] for x in a)
+    return tuple([b[x] for x in a])
 
 
 def invert(a: Sequence[int]) -> tuple[int, ...]:
@@ -124,15 +148,13 @@ def inv_count(a: Sequence[int]) -> int:
 
 def tau(a: Sequence[int]) -> tuple[int, ...]:
     """Conjugation by the half twist; sends the i-th Artin generator to the (n-i)-th."""
-    n = len(a)
-    return tuple(n - 1 - a[n - 1 - i] for i in range(n))
+    return _twisted(_record(a)).perm
 
 
 def right_complement(a: Sequence[int]) -> tuple[int, ...]:
     """The simple ``t`` with ``a * t = delta``."""
-    n = len(a)
-    ainv = invert(a)
-    return tuple(n - 1 - ainv[i] for i in range(n))
+    n1 = len(a) - 1
+    return tuple([n1 - x for x in _record(a).inverse])
 
 
 def left_complement(a: Sequence[int]) -> tuple[int, ...]:
@@ -257,6 +279,7 @@ def normalize_factors(
     = I(s^-1)``, read off the record of ``s``: no tuple or record of the
     complement is built.  The closure's result is looked up by its crossing
     set, and ``s*m`` and ``m^-1*t`` are composed from the records' tuples.
+    Factors are twisted through their records' twist links.
 
     Twisting is deferred: the body is held as ``tau^flip`` of the true
     factors, so twisting everything left of position ``j`` flips ``flip``
@@ -267,7 +290,7 @@ def normalize_factors(
     position 0 -- twists nothing, so it leaves ``flip`` alone.  Thus
     ``delta^-1 lc(u) x_1 ... x_l`` with ``u`` a prefix of ``x_1``, for the
     left complement ``lc``, costs one left-weighting test and one transfer
-    more than ``(u^-1 x_1) x_2 ... x_l``, and no ``tau``.
+    more than ``(u^-1 x_1) x_2 ... x_l``, and no twist.
 
     Cost: a factor appended to an already normal prefix costs one
     left-weighting test and no transfer, so a normal input of ``m`` factors
@@ -275,30 +298,28 @@ def normalize_factors(
     at most ``l`` transfers (``l`` the body length), each one closure of
     ``n - 2`` steps on ``n^2``-bit integers (none when ``t`` is a prefix of
     ``complement(s)``), one lookup by crossing set and two compositions,
-    and at most one ``tau``, plus one per factor right of a half twist the
-    pass makes.
+    and at most one twist lookup, plus one per factor right of a half twist
+    the pass makes.
 
     Returns ``(delta_count, core)`` with the input product equal to
     ``delta^delta_count * core`` and ``core`` in left normal form.  The
     factors of ``core`` are the tuples of their records, so equal factors
     are shared between results.
     """
-    idp = identity(n)
-    dp = delta(n)
     _, half, atoms = _masks(n)
     power = 0
     flip = 0  # body holds tau^flip of the true factors
     body: list[_Record] = []
     for f in factors:
-        f = tuple(f)
-        if f == idp:
+        rec = _record(f)
+        if not rec.rows:
             continue
-        if f == dp:
+        if rec.rows == half:
             power += 1
             if body:
                 flip ^= 1
             continue
-        body.append(_record(tau(f) if flip else f))
+        body.append(_twisted(rec) if flip else rec)
         i = len(body) - 1
         while i > 0:
             s, t = body[i - 1], body[i]
@@ -307,21 +328,22 @@ def normalize_factors(
             flipped = t.rows ^ half
             pairs = s.inverse_rows | flipped
             move = t if pairs == flipped else _close(pairs, half, n)
-            body[i] = _record(compose(move.inverse, t.perm))
-            s = compose(s.perm, move.perm)
-            if s == dp:
+            tp, mp = t.perm, move.perm
+            body[i] = _record([tp[x] for x in move.inverse])
+            s = _record([mp[x] for x in s.perm])
+            if s.rows == half:
                 del body[i - 1]
                 power += 1
                 if i > 1:
-                    body[i - 1:] = [_record(tau(r.perm)) for r in body[i - 1:]]
+                    body[i - 1:] = [_twisted(r) for r in body[i - 1:]]
                     flip ^= 1
                 break
-            body[i - 1] = _record(s)
+            body[i - 1] = s
             i -= 1
         if not body[-1].rows:
             body.pop()
     if flip:
-        return power, [_record(tau(r.perm)).perm for r in body]
+        return power, [_twisted(r).perm for r in body]
     return power, [r.perm for r in body]
 
 
