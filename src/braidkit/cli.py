@@ -4,10 +4,11 @@ Batch, line-oriented interface over the library; every subcommand parses its
 word operands as whitespace-separated signed generator indices ("1 2 -1").
 
 Exit codes: 0 success (including a found root), 1 usage or parse error,
-2 a certified NoRoot answer, 3 a non-generic outcome, 4 an internal
-consistency check failed (a computed root that does not verify, a minimal
-conjugator that is not simple); the message goes to stderr as an ``error:``
-line, never as a traceback.
+2 a negative answer (``root``: a certified NoRoot; ``verify``: the claimed
+root is refuted), 3 a non-generic outcome, 4 an internal consistency check
+failed (a computed root that does not verify, a minimal conjugator that is
+not simple); the message goes to stderr as an ``error:`` line, never as a
+traceback.
 """
 
 from __future__ import annotations

@@ -139,7 +139,8 @@ def final_factor(x: CanonicalBraid) -> SimpleElement:
 
 def preferred_prefix(x: CanonicalBraid) -> SimpleElement:
     """Common prefix of the initial factor and the final factor's complement."""
-    return initial_factor(x).meet(final_factor(x).complement())
+    return SimpleElement(x.n, kernel.meet(
+        initial_factor(x).perm, kernel.right_complement(final_factor(x).perm)))
 
 
 def is_rigid(x: CanonicalBraid) -> bool:

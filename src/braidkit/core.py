@@ -21,9 +21,24 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Sequence
 
 from . import kernel
+
+
+def _check_ints(what: str, values: Sequence) -> None:
+    """Reject any value that is not an ``int``; a ``bool`` is not one here."""
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ValueError(f"{what} {bad!r} is not an int")
+
+
+def _check_strands(n: int) -> None:
+    if type(n) is not int:
+        raise ValueError(f"strand count {n!r} is not an int")
+    if n < 2:
+        raise ValueError("a braid group needs at least 2 strands")
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,9 +56,9 @@ class SimpleElement:
 
     def __post_init__(self):
         object.__setattr__(self, "perm", tuple(self.perm))
-        if self.n < 2:
-            raise ValueError("a braid group needs at least 2 strands")
-        if len(self.perm) != self.n or sorted(self.perm) != list(range(self.n)):
+        _check_strands(self.n)
+        if (len(self.perm) != self.n or not set(map(type, self.perm)) <= {int}
+                or sorted(self.perm) != list(range(self.n))):
             raise ValueError(f"{self.perm!r} is not a permutation of 0..{self.n - 1}")
 
     @classmethod
@@ -58,8 +73,9 @@ class SimpleElement:
     @classmethod
     def atom(cls, i: int, n: int) -> SimpleElement:
         """The i-th Artin generator (1-indexed), crossing strands i and i+1."""
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"generator index {i} out of range for {n} strands")
+        _check_strands(n)
+        if type(i) is not int or not 1 <= i <= n - 1:
+            raise ValueError(f"generator index {i!r} out of range for {n} strands")
         perm = list(range(n))
         perm[i - 1], perm[i] = perm[i], perm[i - 1]
         return cls(n, tuple(perm))
@@ -68,9 +84,10 @@ class SimpleElement:
     def from_letters(cls, n: int, letters: Iterable[int]) -> SimpleElement:
         """Product of positive generators, which must form a permutation braid."""
         letters = tuple(letters)
+        atoms = {i: cls.atom(i, n).perm for i in set(letters)}
         perm = kernel.identity(n)
         for i in letters:
-            perm = kernel.compose(perm, cls.atom(i, n).perm)
+            perm = kernel.compose(perm, atoms[i])
         if kernel.inv_count(perm) != len(letters):
             raise ValueError(f"letters {letters!r} do not spell a simple braid")
         return cls(n, perm)
@@ -137,9 +154,9 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("a braid group needs at least 2 strands")
-        for e in self.letters:
+        _check_strands(self.n)
+        _check_ints("letter", self.letters)
+        for e in dict.fromkeys(self.letters):  # first bad letter first
             if not 1 <= abs(e) <= self.n - 1:
                 raise ValueError(f"letter {e} out of range for {self.n} strands")
 
@@ -168,10 +185,10 @@ class CanonicalBraid:
 
     ``factors`` holds the permutations of the ``x_i``; each is neither
     trivial nor the half twist and every adjacent pair is left weighted.
-    The constructor accepts any sequences, stores them as tuples, so equal
-    braids compare and hash equal, and checks the normal form; braids from
-    :func:`normalize`, the conversions and group operations come from the
-    kernel and skip it.
+    The constructor accepts any sequences of ints, stores them as tuples,
+    so equal braids compare and hash equal, and checks the normal form;
+    braids from :func:`normalize`, the conversions and group operations
+    come from the kernel and skip it.
     """
 
     n: int
@@ -180,8 +197,9 @@ class CanonicalBraid:
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(map(tuple, self.factors)))
-        if self.n < 2:
-            raise ValueError("a braid group needs at least 2 strands")
+        _check_strands(self.n)
+        _check_ints("power", (self.power,))
+        _check_ints("permutation entry", [x for f in self.factors for x in f])
         if not kernel.is_normal(self.factors, self.n):
             raise ValueError(f"factors {self.factors} are not a left normal form")
 
@@ -195,9 +213,10 @@ class CanonicalBraid:
 
     @classmethod
     def from_factors(cls, n: int, factors: Iterable[SimpleElement]) -> CanonicalBraid:
+        _check_strands(n)
         perms = [f.perm for f in factors]
-        if n < 2 or any(len(f) != n for f in perms):
-            raise ValueError(f"factors must be simple elements on {n} >= 2 strands")
+        if any(len(f) != n for f in perms):
+            raise ValueError(f"factors must be simple elements on {n} strands")
         p, core = kernel.normalize_factors(perms, n)
         return _trusted(n, p, tuple(core))
 
@@ -299,25 +318,24 @@ def _trusted(n: int, power: int, factors: tuple) -> CanonicalBraid:
 def normalize(word: BraidWord) -> CanonicalBraid:
     """Left normal form of a word in the Artin generators.
 
-    A negative letter is ``delta^-1`` times the left complement of its
-    generator, and each half twist moving to the front twists the factors
-    it passes by tau.  The word's constructor has range-checked every
-    letter, so each letter's simple and its twist are built once, unchecked.
+    As ``sigma * rc(sigma) = delta`` for the right complement ``rc``, a letter
+    ``sigma^-1`` is ``rc(sigma) delta delta^-2``, and ``delta^2`` is central:
+    the kernel normalizes the positive factors, moving each half twist to the
+    front, and the power drops by two per negative letter.  The word's
+    constructor has range-checked every letter, so each letter's factors are
+    built once, unchecked.
     """
+    n = word.n
     simples = {}
     for e in set(word.letters):
-        perm = list(range(word.n))
+        perm = list(range(n))
         perm[abs(e) - 1], perm[abs(e)] = abs(e), abs(e) - 1
-        u = tuple(perm) if e > 0 else kernel.left_complement(perm)
-        simples[e] = (u, kernel.tau(u))
-    twists = 0  # half twists right of the current letter
-    out = []
-    for e in reversed(word.letters):
-        out.append(simples[e][twists & 1])
-        twists += e < 0
-    out.reverse()
-    p, core = kernel.normalize_factors(out, word.n)
-    return _trusted(word.n, p - twists, tuple(core))
+        simples[e] = ((tuple(perm),) if e > 0 else
+                      (kernel.right_complement(perm), kernel.delta(n)))
+    factors = [*chain.from_iterable(map(simples.__getitem__, word.letters))]
+    p, core = kernel.normalize_factors(factors, n)
+    negatives = len(factors) - len(word.letters)  # each gave two factors
+    return _trusted(n, p - 2 * negatives, tuple(core))
 
 
 def braid_from_text(n: int, text: str) -> CanonicalBraid:
@@ -343,18 +361,16 @@ def render_nf(x: CanonicalBraid) -> str:
 def parse_nf(n: int, text: str) -> CanonicalBraid:
     """Parse the :func:`render_nf` format back into a braid.
 
-    The factor words are multiplied out and renormalized, so any braid whose
-    rendering round-trips compares equal even if the input words were not in
-    canonical spelling.
+    The factor words, which must be positive, are joined into one word and
+    normalized once, so a braid's rendering parses back to it even when the
+    words are not in canonical spelling or not simple.
     """
     parts = [part.strip() for part in text.split("|")]
     m = _NF_HEAD.match(parts[0])
     if m is None:
         raise ValueError(f"malformed normal form text {text!r}")
-    braid = CanonicalBraid.delta_power(n, int(m.group(1)))
     for part in parts[1:]:
-        word = BraidWord.parse(n, part)
-        if any(e < 0 for e in word.letters):
+        if any(e < 0 for e in BraidWord.parse(n, part).letters):
             raise ValueError(f"factor word {part!r} must be positive")
-        braid = braid * normalize(word)
-    return braid
+    body = braid_from_text(n, " ".join(parts[1:]))
+    return _trusted(n, int(m.group(1)) + body.power, body.factors)

@@ -348,15 +348,13 @@ def normalize_factors(
 
 
 def is_normal(factors: Sequence[Sequence[int]], n: int) -> bool:
-    """Whether a factor sequence is a valid left normal form body."""
-    idp = identity(n)
-    dp = delta(n)
-    for f in factors:
-        if len(f) != n or sorted(f) != list(range(n)):
-            return False
-        if tuple(f) == idp or tuple(f) == dp:
-            return False
-    for i in range(len(factors) - 1):
-        if not is_left_weighted(factors[i], factors[i + 1]):
-            return False
-    return True
+    """Whether a factor sequence is a valid left normal form body.
+
+    Normal forms are unique, so permutations of ``0..n-1`` form a normal body
+    exactly when :func:`normalize_factors` gives them back with no half twist,
+    for ``m - 1`` left-weighting tests on ``m`` normal factors.  They are
+    checked to be permutations first, so no record is built for anything else.
+    """
+    if any(len(f) != n or sorted(f) != list(range(n)) for f in factors):
+        return False
+    return normalize_factors(factors, n) == (0, [tuple(f) for f in factors])

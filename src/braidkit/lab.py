@@ -15,6 +15,7 @@ experiment output headers carry that caveat.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import io
 import itertools
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .conjugacy import SlidingBoundExceeded, is_uss_minimal, slide_to_rigid
-from .core import BraidWord, SimpleElement, normalize
+from .core import BraidWord, SimpleElement, _check_strands, normalize
 from .roots import NonGeneric, Root, RootExtractionError, extract_root, verify_root
 
 _MASK64 = (1 << 64) - 1
@@ -78,8 +79,7 @@ class SampleSpec:
             raise ValueError(f"unknown sampling model {self.model!r}")
         if self.count <= 0 or self.r <= 0:
             raise ValueError("count and r must be positive")
-        if self.n < 2:
-            raise ValueError("a braid group needs at least 2 strands")
+        _check_strands(self.n)
 
 
 def _sample_rng(seed: int, index: int) -> SplitMix64:
@@ -174,6 +174,18 @@ def brute_meet(s: SimpleElement, t: SimpleElement) -> SimpleElement:
     return SimpleElement(s.n, perms[best[0]])
 
 
+# --- result rows: output columns are the dataclass fields, camel-cased ---
+
+def _camel(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(word.capitalize() for word in rest)
+
+
+def _record(row) -> dict:
+    """A result row as a dict from output column to value, in field order."""
+    return {_camel(f.name): getattr(row, f.name) for f in dataclasses.fields(row)}
+
+
 # --- genericity experiment ---
 
 @dataclass(frozen=True, slots=True)
@@ -184,18 +196,8 @@ class ExperimentRow:
     mean_slidings: float
     samples: int
 
-    def record(self) -> dict:
-        return {
-            "r": self.r,
-            "fractionRigidWithinBound": self.fraction_rigid_within_bound,
-            "fractionUssMinimal": self.fraction_uss_minimal,
-            "meanSlidings": self.mean_slidings,
-            "samples": self.samples,
-        }
 
-
-EXPERIMENT_FIELDS = ("r", "fractionRigidWithinBound", "fractionUssMinimal",
-                     "meanSlidings", "samples")
+EXPERIMENT_FIELDS = tuple(_camel(f.name) for f in dataclasses.fields(ExperimentRow))
 
 
 def run_genericity_experiment(specs: Iterable[SampleSpec]) -> list[ExperimentRow]:
@@ -292,16 +294,8 @@ class BenchCell:
     mean_seconds: float | None
     ratio_to_half_l: float | None
 
-    def record(self) -> dict:
-        return {
-            "n": self.n, "l": self.l, "k": self.k, "samples": self.samples,
-            "generic": self.generic, "nonGeneric": self.non_generic,
-            "meanSeconds": self.mean_seconds, "ratioToHalfL": self.ratio_to_half_l,
-        }
 
-
-BENCH_FIELDS = ("n", "l", "k", "samples", "generic", "nonGeneric",
-                "meanSeconds", "ratioToHalfL")
+BENCH_FIELDS = tuple(_camel(f.name) for f in dataclasses.fields(BenchCell))
 
 
 def benchmark_root(ns: Sequence[int], ls: Sequence[int], k: int, count: int,
@@ -322,13 +316,13 @@ def benchmark_root(ns: Sequence[int], ls: Sequence[int], k: int, count: int,
                 f"planted roots at n={n}, l={l}, k={k}: {summary.no_root} NoRoot, "
                 f"{summary.verify_failures} failed verification")
         summaries[(n, l)] = summary
-    means = {cell: summary.mean_seconds for cell, summary in summaries.items()}
     cells = []
     for n, l in itertools.product(ns, ls):
         summary = summaries[(n, l)]
         mean = summary.mean_seconds
-        half = means.get((n, l // 2)) if l % 2 == 0 else None
-        ratio = mean / half if (mean is not None and half) else None
+        half = summaries.get((n, l // 2)) if l % 2 == 0 else None
+        half_mean = half.mean_seconds if half else None
+        ratio = mean / half_mean if (mean is not None and half_mean) else None
         cells.append(BenchCell(n=n, l=l, k=k, samples=count, generic=summary.roots,
                                non_generic=summary.non_generic, mean_seconds=mean,
                                ratio_to_half_l=ratio))
@@ -358,7 +352,7 @@ def rows_to_csv(rows: Iterable, fields: Sequence[str], note: str | None = None) 
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(fields)
     for row in rows:
-        record = row.record()
+        record = _record(row)
         writer.writerow([_fmt(record[field]) for field in fields])
     return out.getvalue()
 
@@ -368,6 +362,6 @@ def rows_to_json(rows: Iterable, note: str | None = None) -> str:
     if note:
         payload["note"] = note
     payload["rows"] = [
-        {key: _round6(value) for key, value in row.record().items()} for row in rows
+        {key: _round6(value) for key, value in _record(row).items()} for row in rows
     ]
     return json.dumps(payload, indent=2)

@@ -1,5 +1,6 @@
 """Braid arithmetic: simple elements, words, normal forms, group laws."""
 
+import hashlib
 import random
 import time
 
@@ -187,6 +188,29 @@ class TestNormalForms:
         assert extract_root(x, 3) == NonGeneric(
             "power of Delta", CanonicalBraid.delta_power(3, 1), B(3, "2 1"))
 
+    @pytest.mark.parametrize("make", [
+        lambda: CanonicalBraid(3, 0.5, ()),
+        lambda: CanonicalBraid(3, 2.0, ()),
+        lambda: CanonicalBraid(3, True, ()),
+        lambda: CanonicalBraid(3, 0, [[1.0, 0, 2]]),
+        lambda: BraidWord(3, (1.5,)),
+        lambda: BraidWord(3.0, (1,)),
+        lambda: BraidWord(3, (1, True)),
+        lambda: SimpleElement(3, (1, 0, 2.0)),
+        lambda: CanonicalBraid.from_factors(3.0, []),
+        lambda: CanonicalBraid(True, 0, ()),
+        lambda: SimpleElement.atom(1.5, 3),
+        lambda: SimpleElement.atom(True, 3),
+        lambda: SimpleElement.atom(1, 3.0),
+    ], ids=["half-power", "float-power", "bool-power", "float-entry",
+            "float-letter", "float-strands", "bool-letter", "simple-float-entry",
+            "from-factors-float-strands", "bool-strands", "float-atom",
+            "bool-atom", "atom-float-strands"])
+    def test_constructors_reject_non_integers(self, make):
+        with pytest.raises(ValueError,
+                           match="is not an int|is not a permutation|out of range"):
+            make()
+
     def test_from_factors_rejects_foreign_strand_counts(self):
         with pytest.raises(ValueError):
             CanonicalBraid.from_factors(4, [SimpleElement.atom(1, 3)])
@@ -208,6 +232,22 @@ class TestNormalForms:
         assert time.perf_counter() - start < 1.0
         assert (x.power, x.canonical_length) == (power, length)
         assert x.exponent_sum() == sum(1 if e > 0 else -1 for e in word.letters)
+
+    def test_normal_forms_of_a_fixed_stream_are_pinned(self):
+        # sha256 of the rendered normal forms of words on 2 to 9 strands, up
+        # to 500 signed letters long: a refactor of normalize must keep it
+        digest = hashlib.sha256()
+        for n, r, model, seed, count in (
+                (2, 40, lab.SIGNED_ARTIN_WORD, 3, 12),
+                (3, 60, lab.SIGNED_ARTIN_WORD, 5, 12),
+                (4, 80, lab.SIGNED_ARTIN_WORD, 7, 10),
+                (5, 6, lab.POSITIVE_SIMPLE_PRODUCT, 9, 6),
+                (6, 500, lab.SIGNED_ARTIN_WORD, 11, 3),
+                (9, 500, lab.SIGNED_ARTIN_WORD, 13, 2)):
+            spec = lab.SampleSpec(n=n, r=r, model=model, seed=seed, count=count)
+            for word in lab.sample(spec):
+                digest.update(render_nf(normalize(word)).encode() + b"\n")
+        assert digest.hexdigest()[:16] == "dd8742fb240a634c"
 
     def test_braid_relation_fixture(self):
         assert B(3, "1 2 1") == B(3, "2 1 2")
@@ -371,3 +411,12 @@ class TestTextFormats:
             BraidWord.parse(3, "0")
         with pytest.raises(ValueError):
             parse_nf(3, "2 1 | 1")
+        with pytest.raises(ValueError, match="must be positive"):
+            parse_nf(3, "D^0 | 2 | 1 -2")
+
+    def test_parse_nf_takes_any_positive_parts(self):
+        # a part that is no simple braid, and an empty part, both still parse
+        assert parse_nf(3, "D^1 | 1 1 | 2") == B(3, "1 2 1 1 1 2")
+        assert parse_nf(3, "D^-1 | 1 1 | 2") == B(3, "-1 -2 -1 1 1 2")
+        assert parse_nf(3, "D^2 |  | 2 1") == B(3, "1 2 1 1 2 1 2 1")
+        assert parse_nf(4, "D^0 |") == CanonicalBraid.identity(4)

@@ -80,7 +80,7 @@ def test_normalize_factors_outputs_normal_forms():
         n = rng.randint(2, 6)
         factors = [random_perm(rng, n) for _ in range(rng.randint(0, 10))]
         power, core = pyk.normalize_factors(factors, n)
-        assert pyk.is_normal(core, n)
+        assert pyk.is_normal(core, n) and ref_is_normal(core, n)
         assert power >= 0
         # product is preserved
         def product(fs):
@@ -218,6 +218,54 @@ def ref_is_left_weighted(s, t):
         if t[i] > t[i + 1] and sinv[i] < sinv[i + 1]:
             return False
     return True
+
+
+def ref_is_normal(factors, n):
+    """Reference normal-form test by the definition: permutations of 0..n-1,
+    neither the identity nor the half twist, every adjacent pair left weighted."""
+    for f in factors:
+        if len(f) != n or sorted(f) != list(range(n)):
+            return False
+        if tuple(f) in (pyk.identity(n), pyk.delta(n)):
+            return False
+    return all(ref_is_left_weighted(s, t) for s, t in zip(factors, factors[1:]))
+
+
+def test_is_normal_matches_the_walk():
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(3000):
+        n = rng.randint(2, 6)
+        # mostly normal bodies, each of them then spoiled one way at random
+        factors = pyk.normalize_factors(
+            [random_perm(rng, n) for _ in range(rng.randint(0, 6))], n)[1]
+        spoil = rng.randrange(6)
+        if spoil and factors:
+            i = rng.randrange(len(factors))
+            if spoil == 1:
+                factors[i] = random_perm(rng, n)
+            elif spoil == 2:
+                factors[i] = rng.choice((pyk.identity(n), pyk.delta(n)))
+            elif spoil == 3:
+                factors[i] = random_perm(rng, rng.choice((n - 1, n + 1)))
+            elif spoil == 4:
+                factors[i] = factors[i][:-1] + (rng.choice((0, n, -1)),)
+            else:
+                factors.insert(i, random_perm(rng, n))
+        if rng.random() < 0.5:
+            factors = [list(f) for f in factors]
+        expected = ref_is_normal(factors, n)
+        assert pyk.is_normal(factors, n) == expected, (factors, n)
+        seen.add((spoil, expected))
+    assert {normal for _, normal in seen} == {True, False}
+    assert {spoil for spoil, normal in seen if not normal} == set(range(1, 6))
+
+
+def test_is_normal_builds_no_record_for_a_non_permutation():
+    empty_record_table()
+    assert not pyk.is_normal([(1, 0, 2), (0, 0, 2)], 3)
+    assert not pyk.is_normal([(1, 0, 2), (1, 0)], 3)
+    assert not pyk._RECORDS
 
 
 def test_kernel_ops_match_the_loop_references():
