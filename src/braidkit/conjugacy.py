@@ -27,6 +27,9 @@ once its remainder is trivial, and an atom whose growing conjugator reaches
 an atom already shown to lead to the whole factor leads there too, so it
 needs no further passes.
 
+Simple elements are kernel permutation tuples here, like the entries of
+``CanonicalBraid.factors``; only :func:`minimal_simple_elements` wraps its
+results as :class:`SimpleElement`, the type users pass in and get back.
 Everything here is a pure function over immutable values and safe to call
 concurrently.
 """
@@ -37,7 +40,7 @@ import enum
 from dataclasses import dataclass
 
 from . import kernel
-from .core import CanonicalBraid, SimpleElement, _trusted
+from .core import CanonicalBraid, SimpleElement, _atom, _trusted
 
 
 class SlidingBoundExceeded(Exception):
@@ -116,36 +119,33 @@ class CentralizerBasis:
     case: CentralizerCase
 
 
-def initial_factor(x: CanonicalBraid) -> SimpleElement:
+def initial_factor(x: CanonicalBraid) -> tuple[int, ...]:
     """The first factor pulled in front of the half-twist block; 1 when trivial.
 
-    For ``delta^p x_1 ... x_l`` this is ``tau^-p(x_1)``, the simple element
-    by which cycling conjugates.
+    For ``delta^p x_1 ... x_l`` this is the permutation of ``tau^-p(x_1)``,
+    the simple element by which cycling conjugates.
     """
     if x.canonical_length == 0:
-        return SimpleElement.identity(x.n)
+        return kernel.identity(x.n)
     first = x.factors[0]
-    if x.power & 1:
-        first = kernel.tau(first)
-    return SimpleElement(x.n, first)
+    return kernel.tau(first) if x.power & 1 else first
 
 
-def final_factor(x: CanonicalBraid) -> SimpleElement:
-    """The last normal form factor; delta when the canonical length is zero."""
+def final_factor(x: CanonicalBraid) -> tuple[int, ...]:
+    """The last normal form factor's permutation; delta when the length is zero."""
     if x.canonical_length == 0:
-        return SimpleElement.delta(x.n)
-    return SimpleElement(x.n, x.factors[-1])
+        return kernel.delta(x.n)
+    return x.factors[-1]
 
 
-def preferred_prefix(x: CanonicalBraid) -> SimpleElement:
+def preferred_prefix(x: CanonicalBraid) -> tuple[int, ...]:
     """Common prefix of the initial factor and the final factor's complement."""
-    return SimpleElement(x.n, kernel.meet(
-        initial_factor(x).perm, kernel.right_complement(final_factor(x).perm)))
+    return kernel.meet(initial_factor(x), kernel.right_complement(final_factor(x)))
 
 
 def is_rigid(x: CanonicalBraid) -> bool:
     """Whether the final and initial factors form a left weighted pair."""
-    return kernel.is_left_weighted(final_factor(x).perm, initial_factor(x).perm)
+    return kernel.is_left_weighted(final_factor(x), initial_factor(x))
 
 
 def _conjugate_by_simple(x: CanonicalBraid, s: tuple) -> CanonicalBraid:
@@ -168,7 +168,7 @@ def cycling(x: CanonicalBraid) -> CanonicalBraid:
     """Conjugate by the initial factor: ``delta^p x_2 ... x_l tau^p(x_1)``."""
     if x.canonical_length == 0:
         return x
-    return _conjugate_by_simple(x, initial_factor(x).perm)
+    return _conjugate_by_simple(x, initial_factor(x))
 
 
 def decycling(x: CanonicalBraid) -> CanonicalBraid:
@@ -187,9 +187,9 @@ def decycling(x: CanonicalBraid) -> CanonicalBraid:
 def cyclic_sliding(x: CanonicalBraid) -> CanonicalBraid:
     """Conjugate by the preferred prefix; fixed exactly on rigid braids."""
     prefix = preferred_prefix(x)
-    if prefix.is_identity():
+    if not kernel.inv_count(prefix):
         return x
-    return _conjugate_by_simple(x, prefix.perm)
+    return _conjugate_by_simple(x, prefix)
 
 
 def sliding_iteration_bound(x: CanonicalBraid) -> int:
@@ -212,15 +212,16 @@ def slide_to_rigid(x: CanonicalBraid) -> ConjugationCertificate:
     """
     bound = sliding_iteration_bound(x)
     y = x
-    seen: dict[CanonicalBraid, SimpleElement] = {}  # iterate -> its prefix
+    seen: dict[CanonicalBraid, tuple] = {}  # iterate -> its prefix
     while True:
         prefix = preferred_prefix(y)
-        if prefix.is_identity() or y in seen or len(seen) >= bound:
+        if not kernel.inv_count(prefix) or y in seen or len(seen) >= bound:
             break
         seen[y] = prefix
-        y = _conjugate_by_simple(y, prefix.perm)
-    alpha = CanonicalBraid.from_factors(x.n, seen.values())
-    if not prefix.is_identity():
+        y = _conjugate_by_simple(y, prefix)
+    p, core = kernel.normalize_factors(list(seen.values()), x.n)
+    alpha = _trusted(x.n, p, tuple(core))
+    if kernel.inv_count(prefix):
         raise SlidingBoundExceeded(y, alpha, len(seen), y in seen)
     return ConjugationCertificate(x, y, alpha, len(seen))
 
@@ -239,8 +240,8 @@ def _remainder(fs, s):
 
 
 def _minimal_rigid_conjugator(y: CanonicalBraid, y_inv: CanonicalBraid,
-                              a: tuple, top: SimpleElement | None = None,
-                              settled: tuple = ()) -> SimpleElement:
+                              a: tuple, top: tuple | None = None,
+                              settled: tuple = ()) -> tuple[int, ...]:
     """The smallest simple ``c`` with ``a`` a prefix and ``y^c`` rigid.
 
     ``y`` is rigid, ``y_inv`` its inverse.  Each pass reads ``z = y^t``,
@@ -282,10 +283,10 @@ def _minimal_rigid_conjugator(y: CanonicalBraid, y_inv: CanonicalBraid,
                 raise RuntimeError(f"conjugator of {y} by atom {a} stopped growing")
         else:
             s = preferred_prefix(z)
-            if s.is_identity():
-                return SimpleElement(y.n, t)
-            grown = kernel.compose(t, s.perm)
-            if kernel.inv_count(grown) != kernel.inv_count(t) + s.length:
+            if not kernel.inv_count(s):
+                return t
+            grown = kernel.compose(t, s)
+            if kernel.inv_count(grown) != kernel.inv_count(t) + kernel.inv_count(s):
                 raise RuntimeError(
                     f"transported conjugator of {y} by atom {a} is not simple")
         if any(grown[i - 1] > grown[i] for i in settled):
@@ -311,11 +312,10 @@ def minimal_simple_elements(y: CanonicalBraid) -> frozenset[SimpleElement]:
     if y.canonical_length <= 1:
         raise ValueError("minimal simple elements need canonical length > 1")
     y_inv = y.inverse()
-    found = {_minimal_rigid_conjugator(y, y_inv, SimpleElement.atom(i, y.n).perm)
-             for i in range(1, y.n)}
+    found = {_minimal_rigid_conjugator(y, y_inv, _atom(i, y.n)) for i in range(1, y.n)}
     return frozenset(
-        u for u in found
-        if not any(v != u and v.is_prefix_of(u) for v in found)
+        SimpleElement(y.n, u) for u in found
+        if not any(v != u and kernel.is_prefix(v, u) for v in found)
     )
 
 
@@ -339,13 +339,12 @@ def is_uss_minimal(y: CanonicalBraid) -> bool:
     if y.canonical_length <= 1:
         return False
     y_inv = y.inverse()
-    for top in (initial_factor(y), final_factor(y).complement()):
+    for top in (initial_factor(y), kernel.right_complement(final_factor(y))):
         settled: tuple = ()
         for i in range(1, y.n):
-            if top.perm[i - 1] < top.perm[i]:
+            if top[i - 1] < top[i]:
                 continue
-            if _minimal_rigid_conjugator(y, y_inv, SimpleElement.atom(i, y.n).perm,
-                                         top, settled) != top:
+            if _minimal_rigid_conjugator(y, y_inv, _atom(i, y.n), top, settled) != top:
                 return False
             settled += (i,)
     return True

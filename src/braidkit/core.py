@@ -76,9 +76,7 @@ class SimpleElement:
         _check_strands(n)
         if type(i) is not int or not 1 <= i <= n - 1:
             raise ValueError(f"generator index {i!r} out of range for {n} strands")
-        perm = list(range(n))
-        perm[i - 1], perm[i] = perm[i], perm[i - 1]
-        return cls(n, tuple(perm))
+        return cls(n, _atom(i, n))
 
     @classmethod
     def from_letters(cls, n: int, letters: Iterable[int]) -> SimpleElement:
@@ -214,7 +212,11 @@ class CanonicalBraid:
     @classmethod
     def from_factors(cls, n: int, factors: Iterable[SimpleElement]) -> CanonicalBraid:
         _check_strands(n)
-        perms = [f.perm for f in factors]
+        perms = []
+        for f in factors:
+            if not isinstance(f, SimpleElement):
+                raise ValueError(f"factor {f!r} is not a SimpleElement")
+            perms.append(f.perm)
         if any(len(f) != n for f in perms):
             raise ValueError(f"factors must be simple elements on {n} strands")
         p, core = kernel.normalize_factors(perms, n)
@@ -302,6 +304,11 @@ class CanonicalBraid:
         return f"CanonicalBraid({self.n}, {render_nf(self)!r})"
 
 
+def _atom(i: int, n: int) -> tuple[int, ...]:
+    """The permutation of the i-th Artin generator, for a range-checked ``i``."""
+    return (*range(i - 1), i, i - 1, *range(i + 1, n))
+
+
 def _trusted(n: int, power: int, factors: tuple) -> CanonicalBraid:
     """A braid from kernel-built factors, without the normal-form check.
 
@@ -328,9 +335,8 @@ def normalize(word: BraidWord) -> CanonicalBraid:
     n = word.n
     simples = {}
     for e in set(word.letters):
-        perm = list(range(n))
-        perm[abs(e) - 1], perm[abs(e)] = abs(e), abs(e) - 1
-        simples[e] = ((tuple(perm),) if e > 0 else
+        perm = _atom(abs(e), n)
+        simples[e] = ((perm,) if e > 0 else
                       (kernel.right_complement(perm), kernel.delta(n)))
     factors = [*chain.from_iterable(map(simples.__getitem__, word.letters))]
     p, core = kernel.normalize_factors(factors, n)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .conjugacy import SlidingBoundExceeded, is_uss_minimal, slide_to_rigid
-from .core import BraidWord, SimpleElement, _check_strands, normalize
+from .core import BraidWord, SimpleElement, _check_ints, _check_strands, normalize
 from .roots import NonGeneric, Root, RootExtractionError, extract_root, verify_root
 
 _MASK64 = (1 << 64) - 1
@@ -75,6 +75,8 @@ class SampleSpec:
     count: int
 
     def __post_init__(self):
+        for name in ("r", "count", "seed"):
+            _check_ints(name, (getattr(self, name),))
         if self.model not in SAMPLE_MODELS:
             raise ValueError(f"unknown sampling model {self.model!r}")
         if self.count <= 0 or self.r <= 0:

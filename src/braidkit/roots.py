@@ -103,6 +103,8 @@ def verify_root(x: CanonicalBraid, k: int, a: CanonicalBraid) -> bool:
     bound instead, only powering decides.
     """
     _check_degree(k)
+    if a.n != x.n:
+        raise ValueError(f"mixed strand counts {x.n} and {a.n}")
     if k * a.exponent_sum() != x.exponent_sum():
         return False
     if k * a.inf > x.inf or x.sup > k * a.sup:

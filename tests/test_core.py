@@ -217,6 +217,10 @@ class TestNormalForms:
         with pytest.raises(ValueError):
             CanonicalBraid.from_factors(1, [])
 
+    def test_from_factors_rejects_bare_permutations(self):
+        with pytest.raises(ValueError, match=r"factor \(1, 0, 2\) is not a SimpleElement"):
+            CanonicalBraid.from_factors(3, [(1, 0, 2)])
+
     @pytest.mark.parametrize("spec, power, length", [
         # 552 positive letters; 10 s with the quadratic step-back sweep
         (lab.SampleSpec(n=12, r=16, model=lab.POSITIVE_SIMPLE_PRODUCT,

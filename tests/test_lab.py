@@ -75,6 +75,14 @@ class TestSampling:
         with pytest.raises(ValueError):
             SampleSpec(n=3, r=0, model=SIGNED_ARTIN_WORD, seed=0, count=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("r", 2.5), ("seed", 1.5), ("count", True), ("n", 4.0)])
+    def test_spec_rejects_non_int_fields(self, field, value):
+        fields = dict(n=4, r=2, model=SIGNED_ARTIN_WORD, seed=1, count=3)
+        fields[field] = value
+        with pytest.raises(ValueError, match="is not an int"):
+            SampleSpec(**fields)
+
 
 class TestBruteOracles:
     def test_brute_meet_fixtures(self):

@@ -54,6 +54,11 @@ class TestVerifyRoot:
         assert not verify_root(B(3, "1 1 1 1 1 1"), 2, B(3, "1 2 1"))
         assert not verify_root(B(3, "2 1 -2 1 1 -2"), 2, B(3, "1"))
 
+    def test_rejects_mixed_strand_counts(self):
+        # a candidate from another braid group is an error, not a refutation
+        with pytest.raises(ValueError, match="mixed strand counts 3 and 4"):
+            verify_root(B(3, "1 1"), 2, B(4, "1"))
+
     def test_summit_brackets_refute_without_powering(self):
         # s1 s3^-1 slides to a repeat at D^-1 | 2 1 3 2 1 | 1, so a k-th
         # power has inf < 0 and sup > 0, and the identity is none of them
@@ -168,6 +173,24 @@ class TestExtractRootFixtures:
         a = normalize(BraidWord.parse(6, "1 -5 -3 4 1 3 5 1 -2 4"))
         assert extract_root(a * a, 2) == Root(a)
         assert sizes and not any(sizes)
+
+    def test_no_query_builds_a_simple_element(self, monkeypatch):
+        # simple elements stay kernel permutations from normalize through
+        # every stage of extract_root; the words are drawn before counting
+        planted = list(sample(SampleSpec(7, 16, POSITIVE_SIMPLE_PRODUCT, 11, 16)))
+        words = list(sample(SampleSpec(6, 64, SIGNED_ARTIN_WORD, 11, 16)))
+        built = [0]
+        post_init = SimpleElement.__post_init__
+
+        def counting(self):
+            built[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(SimpleElement, "__post_init__", counting)
+        outcomes = [extract_root(normalize(w) ** 2, 2) for w in planted]
+        outcomes += [extract_root(normalize(w), 2) for w in words]
+        assert {type(o) for o in outcomes} == {Root, NoRoot, NonGeneric}
+        assert built == [0]
 
     def test_rigid_length_one_is_uss_not_minimal(self):
         # D^2 s1 is rigid of canonical length one and its exponent sum 7
