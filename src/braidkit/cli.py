@@ -20,12 +20,12 @@ from typing import Sequence
 
 from . import lab
 from .conjugacy import (
+    ConjugationCertificate,
+    OrbitData,
     SlidingBoundExceeded,
     cycling_orbit,
     is_rigid,
     is_uss_minimal,
-    render_certificate,
-    render_orbit,
     slide_to_rigid,
 )
 from .core import CanonicalBraid, braid_from_text, render_nf
@@ -56,6 +56,19 @@ def _parse_braid(args) -> CanonicalBraid:
 def _emit(args, payload: dict, text: str) -> None:
     """Print ``payload`` as indented JSON under ``--format json``, else ``text``."""
     print(json.dumps(payload, indent=2) if args.format == "json" else text)
+
+
+def render_certificate(cert: ConjugationCertificate) -> str:
+    return (
+        f"target={cert.target}\n"
+        f"conjugator={cert.conjugator}\n"
+        f"iterations={cert.iterations}"
+    )
+
+
+def render_orbit(orbit: OrbitData) -> str:
+    flag = "true" if orbit.self_conjugate else "false"
+    return f"t={orbit.t}, pc={orbit.pc}, self={flag}"
 
 
 def _int_list(text: str) -> list[int]:

@@ -22,10 +22,9 @@ that fails, the least it must contain; inside that set, cyclic sliding grows
 it without overshooting, because transport along sliding is monotone there.
 The cost is a polynomial in the strand count times the canonical length,
 nearly all of it in joins that fold a remainder through the factors of the
-braid or of its inverse.  Two sound early stops cut that down: a fold ends
-once its remainder is trivial, and an atom whose growing conjugator reaches
-an atom already shown to lead to the whole factor leads there too, so it
-needs no further passes.
+braid or of its inverse.  One sound early stop cuts that down: an atom
+whose growing conjugator reaches an atom already shown to lead to the whole
+factor leads there too, so it needs no further passes.
 
 Simple elements are kernel permutation tuples here, like the entries of
 ``CanonicalBraid.factors``; only :func:`minimal_simple_elements` wraps its
@@ -229,12 +228,11 @@ def slide_to_rigid(x: CanonicalBraid) -> ConjugationCertificate:
 def _remainder(fs, s):
     # y'^-1 (y' v s) for the positive braid y' spelled by the factors fs:
     # (f g)^-1 ((f g) v s) = g^-1 (g v f^-1 (f v s)), and it stays simple.
-    # Once s is the identity every later step gives the identity again,
-    # since f^-1 (f v 1) = 1, so the fold stops there.
-    idp = tuple(range(len(s)))
+    # No step meets the identity, so there is no early stop for it: the one
+    # caller folds only a side whose bound fails, so the result is no prefix
+    # of t and hence not 1; and as f^-1 (f v 1) = 1, a fold that met 1
+    # would end at 1.
     for f in fs:
-        if s == idp:
-            break
         s = kernel.compose(kernel.invert(f), kernel.join(f, s))
     return s
 
@@ -422,16 +420,3 @@ def centralizer_basis(y: CanonicalBraid, orbit: OrbitData) -> CentralizerBasis:
     if (v ** c) * (w ** d) != y:
         raise CentralizerError("decomposition does not reconstruct the braid")
     return CentralizerBasis(v=v, w=w, c=c, d=d, case=case)
-
-
-def render_certificate(cert: ConjugationCertificate) -> str:
-    return (
-        f"target={cert.target}\n"
-        f"conjugator={cert.conjugator}\n"
-        f"iterations={cert.iterations}"
-    )
-
-
-def render_orbit(orbit: OrbitData) -> str:
-    flag = "true" if orbit.self_conjugate else "false"
-    return f"t={orbit.t}, pc={orbit.pc}, self={flag}"

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .conjugacy import SlidingBoundExceeded, is_uss_minimal, slide_to_rigid
-from .core import BraidWord, SimpleElement, _check_ints, _check_strands, normalize
+from .core import BraidWord, SimpleElement, _check_ints, _check_strands, _letters, normalize
 from .roots import NonGeneric, Root, RootExtractionError, extract_root, verify_root
 
 _MASK64 = (1 << 64) - 1
@@ -97,19 +97,17 @@ def _draw_signed_word(n: int, r: int, rng: SplitMix64) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
-def _draw_nontrivial_simple(n: int, rng: SplitMix64) -> SimpleElement:
+def _draw_nontrivial_simple(n: int, rng: SplitMix64) -> tuple[int, ...]:
     perm = list(range(n))
     while True:
         rng.shuffle(perm)
         if any(perm[i] != i for i in range(n)):
-            return SimpleElement(n, tuple(perm))
+            return tuple(perm)
 
 
 def _draw_positive_product(n: int, r: int, rng: SplitMix64) -> BraidWord:
-    letters: list[int] = []
-    for _ in range(r):
-        letters.extend(_draw_nontrivial_simple(n, rng).canonical_letters())
-    return BraidWord(n, tuple(letters))
+    simples = [_draw_nontrivial_simple(n, rng) for _ in range(r)]
+    return BraidWord(n, tuple([e for perm in simples for e in _letters(perm)]))
 
 
 def sample(spec: SampleSpec) -> Iterator[BraidWord]:

@@ -28,12 +28,8 @@ from braidkit import (
     preferred_prefix,
     slide_to_rigid,
 )
-from braidkit.conjugacy import (
-    _minimal_rigid_conjugator,
-    _remainder,
-    render_certificate,
-    render_orbit,
-)
+from braidkit.cli import render_certificate, render_orbit
+from braidkit.conjugacy import _minimal_rigid_conjugator
 from braidkit.lab import (
     POSITIVE_SIMPLE_PRODUCT,
     SIGNED_ARTIN_WORD,
@@ -543,9 +539,9 @@ class TestMinimalSimpleElements:
         assert 10 <= minimal <= len(samples) - 10
 
     def test_uss_test_matches_the_reference_on_eight_to_twelve_strands(self):
-        # both early stops leave c_y(a) and the verdict unchanged; the
-        # settled cut is checked on every atom, also past the first atom
-        # whose c_y(a) misses its top
+        # the settled early stop leaves c_y(a) and the verdict unchanged; it
+        # is checked on every atom, also past the first atom whose c_y(a)
+        # misses its top
         samples = lab_rigid_samples()
         minimal = 0
         for y in samples:
@@ -570,11 +566,23 @@ class TestMinimalSimpleElements:
         assert len(samples) >= 90 and {y.n for y in samples} == set(range(8, 13))
         assert 20 <= minimal <= len(samples) - 20
 
-    def test_remainder_of_the_identity_makes_no_join(self, monkeypatch):
-        y = B(6, "1 2 3 4 5 1 2 3 -4 5 5 2")
-        joins = _count_joins(monkeypatch)
-        assert _remainder(y.factors, kernel.identity(6)) == kernel.identity(6)
-        assert joins == [0]
+    def test_uss_folds_never_return_the_identity(self, monkeypatch):
+        # why the fold needs no early stop at the identity: it runs only on
+        # a side whose bound fails, so its remainder is no prefix of t and
+        # hence not 1, and a fold that met 1 would end at 1
+        results = []
+        remainder = conjugacy._remainder
+
+        def recorded(fs, s):
+            results.append(remainder(fs, s))
+            return results[-1]
+
+        monkeypatch.setattr(conjugacy, "_remainder", recorded)
+        for y in lab_rigid_samples():
+            is_uss_minimal(y)
+            minimal_simple_elements(y)
+        assert len(results) >= 1000
+        assert all(kernel.inv_count(r) for r in results)
 
     def test_uss_test_makes_fewer_joins_than_the_reference(self, monkeypatch):
         # y = D^0 | 1 3 | 3 2 4 | 2 1 3 has a minimal ultra summit set, and

@@ -1,6 +1,7 @@
 """Braid arithmetic: simple elements, words, normal forms, group laws."""
 
 import hashlib
+import itertools
 import random
 import time
 
@@ -20,6 +21,7 @@ from braidkit import (
     render_nf,
 )
 from braidkit import cycling, cyclic_sliding, decycling, kernel, lab
+from braidkit.core import _letters
 
 from braid_strategies import braid_pairs, braid_triples, braid_words, braids
 
@@ -59,6 +61,42 @@ def inverse_reference(x):
     items = [(-1, kernel.left_complement(f)) for f in reversed(x.factors)]
     items.append((-x.power, kernel.identity(x.n)))
     return collect_reference(items, x.n)
+
+
+# The canonical word as braidkit spelled it before the scan stepped back:
+# restart from the first atom after every peeled one.  Kept as the reference
+# for ``_letters``.
+
+def canonical_letters_reference(perm):
+    perm = list(perm)
+    out = []
+    while True:
+        for i in range(len(perm) - 1):
+            if perm[i] > perm[i + 1]:
+                out.append(i + 1)
+                perm[i], perm[i + 1] = perm[i + 1], perm[i]
+                break
+        else:
+            return tuple(out)
+
+
+# ``SimpleElement.from_letters`` as braidkit built it before it swapped
+# strands on the inverse: one atom per distinct letter, range-checked in
+# first-seen order, composed letter by letter, and the crossing count
+# compared with the word length.  Returns the permutation or the error text.
+
+def from_letters_reference(n, letters):
+    letters = tuple(letters)
+    try:
+        atoms = {i: SimpleElement.atom(i, n).perm for i in dict.fromkeys(letters)}
+        perm = kernel.identity(n)
+        for i in letters:
+            perm = kernel.compose(perm, atoms[i])
+        if kernel.inv_count(perm) != len(letters):
+            raise ValueError(f"letters {letters!r} do not spell a simple braid")
+    except ValueError as exc:
+        return str(exc)
+    return perm
 
 
 class TestSimpleElements:
@@ -158,6 +196,43 @@ class TestSimpleElements:
             SimpleElement.from_letters(3, (1, 1))
         with pytest.raises(ValueError, match=r"letters \(2, 1, 2, 1\) do not"):
             SimpleElement.from_letters(3, (i for i in (2, 1, 2, 1)))
+
+    def test_one_scan_letters_match_the_restart_scan(self):
+        # every permutation braid on 2 to 7 strands, 5,912 of them
+        count = 0
+        for n in range(2, 8):
+            for perm in itertools.permutations(range(n)):
+                letters = _letters(perm)
+                assert letters == canonical_letters_reference(perm), perm
+                assert len(letters) == kernel.inv_count(perm)
+                count += 1
+        assert count == 5912
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(-1, n + 1), max_size=12))))
+    def test_from_letters_matches_the_compose_reference(self, case):
+        # out-of-range letters (0, -1, n, n + 1), empty and one-letter
+        # lists, and words that are both out of range and not simple
+        n, letters = case
+        try:
+            got = SimpleElement.from_letters(n, letters).perm
+        except ValueError as exc:
+            got = str(exc)
+        assert got == from_letters_reference(n, letters)
+
+    def test_from_letters_error_fixtures(self):
+        # the first letter out of range is named, also in a word that is not
+        # simple anyway, and a letter must be an int
+        with pytest.raises(ValueError, match="index 4 out of range for 3"):
+            SimpleElement.from_letters(3, (1, 1, 4, 0))
+        with pytest.raises(ValueError, match="index 0 out of range for 3"):
+            SimpleElement.from_letters(3, (1, 0, 4))
+        with pytest.raises(ValueError, match="index True out of range"):
+            SimpleElement.from_letters(3, (1, True))
+        with pytest.raises(ValueError, match="at least 2 strands"):
+            SimpleElement.from_letters(1, ())
+        assert SimpleElement.from_letters(2, ()) == SimpleElement.identity(2)
 
 
 class TestNormalForms:
@@ -395,6 +470,28 @@ class TestTextFormats:
     def test_render_fixture(self):
         assert render_nf(B(3, "2 1 1")) == "D^0 | 2 1 | 1"
         assert render_nf(CanonicalBraid.delta_power(3, -2)) == "D^-2"
+
+    def test_rendering_and_sampling_build_no_simple_element(self, monkeypatch):
+        # text and lab words come straight from permutation tuples;
+        # from_letters builds its result and nothing else
+        spec = lab.SampleSpec(7, 16, lab.POSITIVE_SIMPLE_PRODUCT, 11, 8)
+        a = normalize(next(lab.sample(spec)))
+        root = extract_root(a * a, 2).root
+        assert root.canonical_length > 5
+        built = [0]
+        post_init = SimpleElement.__post_init__
+
+        def counting(self):
+            built[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(SimpleElement, "__post_init__", counting)
+        text = render_nf(root)
+        words = list(lab.sample(spec))
+        assert built == [0]
+        assert parse_nf(7, text) == root and len(words) == 8
+        assert SimpleElement.from_letters(7, (1, 2, 1, 4, 6)).length == 5
+        assert built == [1]
 
     @settings(max_examples=80, deadline=None)
     @given(braids())
