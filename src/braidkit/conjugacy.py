@@ -23,8 +23,8 @@ it without overshooting, because transport along sliding is monotone there.
 The cost is a polynomial in the strand count times the canonical length,
 nearly all of it in joins that fold a remainder through the factors of the
 braid or of its inverse.  One sound early stop cuts that down: an atom
-whose growing conjugator reaches an atom already shown to lead to the whole
-factor leads there too, so it needs no further passes.
+whose growing conjugator reaches an atom already shown to lead to some ``c``
+above both leads to ``c`` too.  Both callers reject a non-rigid braid.
 
 Simple elements are kernel permutation tuples here, like the entries of
 ``CanonicalBraid.factors``; only :func:`minimal_simple_elements` wraps its
@@ -165,8 +165,6 @@ def _conjugate_by_simple(x: CanonicalBraid, s: tuple) -> CanonicalBraid:
 
 def cycling(x: CanonicalBraid) -> CanonicalBraid:
     """Conjugate by the initial factor: ``delta^p x_2 ... x_l tau^p(x_1)``."""
-    if x.canonical_length == 0:
-        return x
     return _conjugate_by_simple(x, initial_factor(x))
 
 
@@ -177,18 +175,13 @@ def decycling(x: CanonicalBraid) -> CanonicalBraid:
     conjugating by ``delta^-1`` is ``tau``, so this is ``tau`` of the
     conjugate by ``d(x_l)``.
     """
-    if x.canonical_length == 0:
-        return x
     return _conjugate_by_simple(
-        x, kernel.right_complement(x.factors[-1])).tau()
+        x, kernel.right_complement(final_factor(x))).tau()
 
 
 def cyclic_sliding(x: CanonicalBraid) -> CanonicalBraid:
     """Conjugate by the preferred prefix; fixed exactly on rigid braids."""
-    prefix = preferred_prefix(x)
-    if not kernel.inv_count(prefix):
-        return x
-    return _conjugate_by_simple(x, prefix)
+    return _conjugate_by_simple(x, preferred_prefix(x))
 
 
 def sliding_iteration_bound(x: CanonicalBraid) -> int:
@@ -238,9 +231,8 @@ def _remainder(fs, s):
 
 
 def _minimal_rigid_conjugator(y: CanonicalBraid, y_inv: CanonicalBraid,
-                              a: tuple, top: tuple | None = None,
-                              settled: tuple = ()) -> tuple[int, ...]:
-    """The smallest simple ``c`` with ``a`` a prefix and ``y^c`` rigid.
+                              i: int, known: dict) -> tuple[int, ...]:
+    """The smallest simple ``c`` with ``a = s_i`` a prefix and ``y^c`` rigid.
 
     ``y`` is rigid, ``y_inv`` its inverse.  Each pass reads ``z = y^t``,
     from ``t = a``.  As ``y`` lies in its super summit set, ``inf(z) <=
@@ -260,17 +252,17 @@ def _minimal_rigid_conjugator(y: CanonicalBraid, y_inv: CanonicalBraid,
     unchanged raises ``RuntimeError`` anyway.  Result: the loop returns
     only at a rigid ``z``, so ``t = c_y(a)``.
 
-    ``settled`` lists indices ``i`` of atoms ``s_i`` already known to have
-    ``c_y(s_i) = top``, for a rigid conjugator ``top`` of which ``a`` is a
-    prefix; ``top`` is returned as soon as ``t`` has one of them as a
-    prefix.  This is sound: ``c_y(a) <= top``, since ``top`` is a rigid
-    conjugator above ``a``, and ``t <= c_y(a)`` throughout, by the above.
-    Rigid conjugators are closed under meets (Gebhardt and
-    Gonzalez-Meneses, Math. Z. 2010), so ``c_y(s_i)`` is the least rigid
-    conjugator above ``s_i``, and ``s_i <= t <= c_y(a)`` gives ``top =
-    c_y(s_i) <= c_y(a)``.  Hence ``c_y(a) = top``.
+    ``known`` maps atom indices ``j`` to ``c_y(s_j)``, as far as the caller
+    has them; ``c = known[j]`` is returned as soon as ``t`` has ``s_j`` as
+    a prefix, if ``a`` is a prefix of ``c``.  This is sound: ``c_y(a) <=
+    c``, since ``c`` is a rigid conjugator above ``a``, and ``t <= c_y(a)``
+    throughout, by the above.  Rigid conjugators are closed under meets
+    (Gebhardt and Gonzalez-Meneses, Math. Z. 2010), so ``c`` is the least
+    rigid conjugator above ``s_j``, and ``s_j <= t <= c_y(a)`` gives ``c
+    <= c_y(a)``.  Hence ``c_y(a) = c``.
     """
-    t = a
+    above = [(j, c) for j, c in known.items() if c[i - 1] > c[i]]
+    t = _atom(i, y.n)
     while True:
         z = _conjugate_by_simple(y, t)
         if z.inf < y.inf or z.sup > y.sup:
@@ -278,7 +270,7 @@ def _minimal_rigid_conjugator(y: CanonicalBraid, y_inv: CanonicalBraid,
             grown = kernel.join(t, _remainder(
                 side.factors, kernel.tau(t) if side.power & 1 else t))
             if grown == t:
-                raise RuntimeError(f"conjugator of {y} by atom {a} stopped growing")
+                raise RuntimeError(f"conjugator of {y} by atom s{i} stopped growing")
         else:
             s = preferred_prefix(z)
             if not kernel.inv_count(s):
@@ -286,9 +278,10 @@ def _minimal_rigid_conjugator(y: CanonicalBraid, y_inv: CanonicalBraid,
             grown = kernel.compose(t, s)
             if kernel.inv_count(grown) != kernel.inv_count(t) + kernel.inv_count(s):
                 raise RuntimeError(
-                    f"transported conjugator of {y} by atom {a} is not simple")
-        if any(grown[i - 1] > grown[i] for i in settled):
-            return top
+                    f"transported conjugator of {y} by atom s{i} is not simple")
+        for j, c in above:
+            if grown[j - 1] > grown[j]:
+                return c
         t = grown
 
 
@@ -305,12 +298,18 @@ def minimal_simple_elements(y: CanonicalBraid) -> frozenset[SimpleElement]:
     ``s1`` and sliding to rigidity accumulates ``s1 s2 s3 s2 s1``, although
     ``s1 s2`` already reaches the rigid ``s1^2``.  So the conjugator above
     ``a`` grows by joins while its conjugate is outside the super summit
-    set, and slides only inside it, where sliding cannot overshoot.
+    set, and slides only inside it, where sliding cannot overshoot.  Raises
+    ``ValueError`` when ``l <= 1`` or ``y`` is not rigid.
     """
     if y.canonical_length <= 1:
         raise ValueError("minimal simple elements need canonical length > 1")
+    if not is_rigid(y):
+        raise ValueError(f"minimal simple elements need a rigid braid, got {y}")
     y_inv = y.inverse()
-    found = {_minimal_rigid_conjugator(y, y_inv, _atom(i, y.n)) for i in range(1, y.n)}
+    known: dict[int, tuple[int, ...]] = {}
+    for i in range(1, y.n):
+        known[i] = _minimal_rigid_conjugator(y, y_inv, i, known)
+    found = set(known.values())
     return frozenset(
         SimpleElement(y.n, u) for u in found
         if not any(v != u and kernel.is_prefix(v, u) for v in found)
@@ -323,28 +322,31 @@ def is_uss_minimal(y: CanonicalBraid) -> bool:
     True exactly when the canonical length exceeds one and the minimal
     simple elements are precisely the initial factor and the complement of
     the final factor; then the ultra summit set consists of at most
-    ``2 l`` rigid braids arranged in one or two cycling orbits.
+    ``2 l`` rigid braids arranged in one or two cycling orbits.  Raises
+    ``ValueError`` on a non-rigid ``y`` with ``l > 1``.
 
     Those two elements always keep a rigid braid in its ultra summit set
     (they implement cycling and twisted decycling), have trivial meet, and
     every minimal simple element is a prefix of one of them.  So the test
-    asks, for each atom ``a`` below either top, whether the smallest rigid
-    conjugator above ``a`` is that top itself, and stops at the first atom
-    where it is not.  The atoms of one top that passed settle the later
-    ones early (see :func:`_minimal_rigid_conjugator`): a later atom whose
-    growing conjugator reaches one of them has the top as its answer.
+    asks, for each atom ``a`` below either element, whether the smallest
+    rigid conjugator above ``a`` is that element, and stops at the first
+    atom where it is not.  The answers found so far settle later atoms
+    early (see :func:`_minimal_rigid_conjugator`): an atom whose conjugator
+    grows to take in one that led to its element has that element too.
     """
     if y.canonical_length <= 1:
         return False
+    if not is_rigid(y):
+        raise ValueError(f"the USS test needs a rigid braid, got {y}")
     y_inv = y.inverse()
-    for top in (initial_factor(y), kernel.right_complement(final_factor(y))):
-        settled: tuple = ()
+    known: dict[int, tuple[int, ...]] = {}
+    for goal in (initial_factor(y), kernel.right_complement(final_factor(y))):
         for i in range(1, y.n):
-            if top[i - 1] < top[i]:
+            if goal[i - 1] < goal[i]:
                 continue
-            if _minimal_rigid_conjugator(y, y_inv, _atom(i, y.n), top, settled) != top:
+            known[i] = _minimal_rigid_conjugator(y, y_inv, i, known)
+            if known[i] != goal:
                 return False
-            settled += (i,)
     return True
 
 

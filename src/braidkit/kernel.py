@@ -256,7 +256,6 @@ def normalize_factors(
     The factors are read left to right onto ``delta^p x_1 ... x_l`` with the
     body ``x_1 ... x_l`` kept in left normal form:
 
-    * an identity factor is skipped;
     * a half twist adds one to ``p`` and, since ``x * delta = delta *
       tau(x)``, applies ``tau`` to the body, if there is one;
     * any other factor is appended, and a right-to-left pass replaces each
@@ -312,8 +311,6 @@ def normalize_factors(
     body: list[_Record] = []
     for f in factors:
         rec = _record(f)
-        if not rec.rows:
-            continue
         if rec.rows == half:
             power += 1
             if body:

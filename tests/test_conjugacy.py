@@ -484,7 +484,7 @@ class TestMinimalSimpleElements:
             y_inv = y.inverse()
             for i in range(1, y.n):
                 a = SimpleElement.atom(i, y.n)
-                got = SimpleElement(y.n, _minimal_rigid_conjugator(y, y_inv, a.perm))
+                got = SimpleElement(y.n, _minimal_rigid_conjugator(y, y_inv, i, {}))
                 above = [s for s in reaching if a.is_prefix_of(s)]
                 assert got in above, (y, a)
                 assert all(got.is_prefix_of(s) for s in above), (y, a)
@@ -500,7 +500,7 @@ class TestMinimalSimpleElements:
         y = B(3, "1 1")
         start = time.perf_counter()
         with pytest.raises(RuntimeError, match="not simple"):
-            _minimal_rigid_conjugator(y, y.inverse(), s1.perm)
+            _minimal_rigid_conjugator(y, y.inverse(), 1, {})
         assert time.perf_counter() - start < 1.0
 
     def test_minimal_rigid_conjugator_stops_when_a_join_adds_nothing(self, monkeypatch):
@@ -509,7 +509,7 @@ class TestMinimalSimpleElements:
         y = B(3, "1 1")
         start = time.perf_counter()
         with pytest.raises(RuntimeError, match="stopped growing"):
-            _minimal_rigid_conjugator(y, y.inverse(), SimpleElement.atom(2, 3).perm)
+            _minimal_rigid_conjugator(y, y.inverse(), 2, {})
         assert time.perf_counter() - start < 1.0
 
     def test_uss_test_folds_only_the_side_that_fails(self, monkeypatch):
@@ -539,9 +539,9 @@ class TestMinimalSimpleElements:
         assert 10 <= minimal <= len(samples) - 10
 
     def test_uss_test_matches_the_reference_on_eight_to_twelve_strands(self):
-        # the settled early stop leaves c_y(a) and the verdict unchanged; it
-        # is checked on every atom, also past the first atom whose c_y(a)
-        # misses its top
+        # the memo's early stop leaves c_y(a) and the verdict unchanged: each
+        # atom is checked with an empty memo and with every other atom's
+        # answer known, also past the first atom whose c_y(a) misses its top
         samples = lab_rigid_samples()
         minimal = 0
         for y in samples:
@@ -549,18 +549,13 @@ class TestMinimalSimpleElements:
             expected = {i: reference_minimal_rigid_conjugator(
                 y, y_inv, SimpleElement.atom(i, y.n).perm) for i in range(1, y.n)}
             for i, c in expected.items():
-                assert _minimal_rigid_conjugator(
-                    y, y_inv, SimpleElement.atom(i, y.n).perm) == c, (y, i)
-            verdict = True
-            for top in (initial_factor(y), kernel.right_complement(final_factor(y))):
-                below = [i for i in expected if top[i - 1] > top[i]]
-                verdict = verdict and all(expected[i] == top for i in below)
-                for i in below:
-                    settled = tuple(j for j in below if j < i and expected[j] == top)
-                    if settled:
-                        got = _minimal_rigid_conjugator(
-                            y, y_inv, SimpleElement.atom(i, y.n).perm, top, settled)
-                        assert got == expected[i], (y, i, settled)
+                others = {j: d for j, d in expected.items() if j != i}
+                assert _minimal_rigid_conjugator(y, y_inv, i, {}) == c, (y, i)
+                assert _minimal_rigid_conjugator(y, y_inv, i, others) == c, (y, i)
+            verdict = all(
+                expected[i] == top
+                for top in (initial_factor(y), kernel.right_complement(final_factor(y)))
+                for i in expected if top[i - 1] > top[i])
             assert is_uss_minimal(y) == verdict, y
             minimal += verdict
         assert len(samples) >= 90 and {y.n for y in samples} == set(range(8, 13))
@@ -598,12 +593,46 @@ class TestMinimalSimpleElements:
         assert is_uss_minimal(y)
         assert 0 < joins[0] < reference
 
+    def test_minimal_elements_make_fewer_joins_than_empty_memos(self, monkeypatch):
+        # the atoms of y share one memo, so later atoms stop early at an
+        # earlier atom's answer
+        y = B(5, "3 3 4 4 1 -4 2 2 -1 3 1 1")
+        y_inv = y.inverse()
+        joins = _count_joins(monkeypatch)
+        for i in range(1, 5):
+            _minimal_rigid_conjugator(y, y_inv, i, {})
+        separate = joins[0]
+        joins[0] = 0
+        assert minimal_simple_elements(y) == {
+            SimpleElement(5, initial_factor(y)),
+            SimpleElement(5, kernel.right_complement(final_factor(y)))}
+        assert 0 < joins[0] < separate
+
+    def test_uss_functions_reject_non_rigid_braids(self):
+        # each of these used to answer, or to raise the internal
+        # RuntimeError, as if the braid were rigid
+        with pytest.raises(ValueError, match="rigid"):
+            is_uss_minimal(B(3, "2 1 1"))
+        for f in (is_uss_minimal, minimal_simple_elements):
+            with pytest.raises(ValueError, match="rigid"):
+                f(B(4, "1 2 3 -1"))
+        count = 0
+        for n in range(3, 7):
+            for word in sample(SampleSpec(n, 12, SIGNED_ARTIN_WORD, 5, 300)):
+                y = normalize(word)
+                if y.canonical_length <= 1 or is_rigid(y):
+                    continue
+                count += 1
+                for f in (is_uss_minimal, minimal_simple_elements):
+                    with pytest.raises(ValueError, match="rigid"):
+                        f(y)
+        assert count == 953
+
     def test_minimal_rigid_conjugator_is_not_the_inf_shortcut(self):
         # Appending initial factors of y^t while inf drops reaches delta
         # here; the smallest rigid conjugator above s2 is s2 s1.
         y = B(3, "1 1")
-        got = _minimal_rigid_conjugator(y, y.inverse(),
-                                        SimpleElement.atom(2, 3).perm)
+        got = _minimal_rigid_conjugator(y, y.inverse(), 2, {})
         assert got == SimpleElement.from_letters(3, (2, 1)).perm
 
     def test_uss_minimal_fixtures(self):
